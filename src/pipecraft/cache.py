@@ -82,15 +82,25 @@ class StrategyCache:
         return self.root / INDEX_FILE
 
     def _load_index(self) -> None:
+        """Read the index, skipping lines a crash tore; a torn or unterminated
+        tail is rewritten away so the next append starts on a fresh line."""
         path = self._index_path()
         if not path.exists():
             return
-        for line in path.read_text(encoding="utf-8").splitlines():
+        text = path.read_text(encoding="utf-8")
+        intact = text.endswith("\n") or not text
+        for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            entry = CacheEntry(**record)
+            try:
+                entry = CacheEntry(**json.loads(line))
+            except (json.JSONDecodeError, TypeError) as exc:
+                logger.warning("skipping unreadable line %d of %s: %s", number, path, exc)
+                intact = False
+                continue
             self._entries[(entry.key, entry.base_fingerprint)] = entry
+        if not intact:
+            self._rewrite_index()
 
     def _append_index(self, entry: CacheEntry) -> None:
         with open(self._index_path(), "a", encoding="utf-8") as handle:

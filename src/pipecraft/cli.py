@@ -35,6 +35,7 @@ from .report import build_report, format_report_text, load_report, write_report
 from .sampling import stratified_sample
 from .screener import Screener
 from .strategy import StrategyParseError, enumerate_space, parse_strategy
+from .textstats import text_profile
 from .timing import PhaseTimer
 
 EXIT_OK = 0
@@ -79,6 +80,7 @@ def build_context(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    text_profile.cache_clear()  # the profile memo lasts one run
     try:
         run_cfg = load_run_config(args.config)
         if not run_cfg.dataset:
@@ -123,6 +125,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (DatasetError, CacheError, SearchError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    finally:
+        text_profile.cache_clear()
 
     timings = {
         "phases": {name: round(value, 6) for name, value in timer.snapshot().items()},
@@ -141,10 +145,6 @@ def cmd_enumerate(_args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_for_processing(path: str):
-    return load_dataset(path)
-
-
 def cmd_apply(args: argparse.Namespace) -> int:
     try:
         strategy = parse_strategy(args.strategy)
@@ -152,7 +152,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
         print(f"config error: bad strategy: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        dataset = _load_for_processing(args.input)
+        dataset = load_dataset(args.input)
     except DatasetError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -174,7 +174,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
         print("config error: rate must be in (0, 1]", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        dataset = _load_for_processing(args.input)
+        dataset = load_dataset(args.input)
     except DatasetError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,14 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import OperatorConfig
-from .textstats import (
-    clean_text,
-    is_allowed_char,
-    length_adequacy,
-    ngram_repetition_ratio,
-    special_char_ratio,
-    token_count,
-)
+from .textstats import clean_text, is_allowed_char, text_profile, violations
 
 DEFAULT_TIMEOUT_S = 60.0
 
@@ -138,19 +131,10 @@ class HeuristicScorer(ModelClient):
     def _do_complete(self, request: dict) -> dict:
         question = request.get("question", "")
         answer = request.get("answer", "")
-        text = question + "\n" + answer
-        lo, hi = self.cfg.special_char_range
-        tlo, thi = self.cfg.token_range
-        tokens = token_count(text)
-        passes = (
-            lo <= special_char_ratio(text) <= hi
-            and tlo <= tokens <= thi
-            and ngram_repetition_ratio(text, self.cfg.ngram.n)
-            <= self.cfg.ngram.max_repetition_ratio
-        )
+        profile = text_profile(question + "\n" + answer, self.cfg.ngram.n)
+        passes = not violations(profile, self.cfg)
         complete = bool(question) and bool(answer)
-        adequacy = length_adequacy(text, 4 * max(1, self.cfg.token_range[0]))
-        score = (float(passes) + float(complete) + adequacy) / 3.0
+        score = (float(passes) + float(complete) + profile.adequacy(self.cfg)) / 3.0
         return {"score": score, "status": "ok"}
 
 

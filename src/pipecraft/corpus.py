@@ -122,9 +122,6 @@ class Dataset:
         return [sample.canonical() for sample in self.samples]
 
 
-EMPTY_DATASET = Dataset.from_samples(())
-
-
 def _parse_record(line: str, line_number: int) -> Sample:
     try:
         record = json.loads(line)

@@ -14,14 +14,13 @@ import math
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .config import DEFAULT_PROXY_WEIGHTS, EvalConfig, OperatorConfig
 from .corpus import Dataset, save_dataset
-from .operators import ExecutionContext, apply_strategy, passes_filters
+from .operators import ExecutionContext, apply_strategy
 from .strategy import Strategy
-from .textstats import length_adequacy
+from .textstats import text_profile, violations
 
 FAILURE_SCORE = float("-inf")
 
@@ -52,11 +51,11 @@ def proxy_components(dataset: Dataset, cfg: OperatorConfig) -> tuple[float, floa
     each in [0, 1]. Empty datasets are handled by the caller."""
     n = len(dataset)
     texts = [sample.combined_text for sample in dataset]
-    passing = sum(1 for text in texts if passes_filters(text, cfg)) / n
+    profiles = [text_profile(text, cfg.ngram.n) for text in texts]
+    passing = sum(1 for profile in profiles if not violations(profile, cfg)) / n
     complete = sum(1 for s in dataset if s.question and s.answer) / n
     uniqueness = 1.0 - _containment_duplicate_ratio(texts)
-    floor = 4 * max(1, cfg.token_range[0])
-    adequacy = sum(length_adequacy(text, floor) for text in texts) / n
+    adequacy = sum(profile.adequacy(cfg) for profile in profiles) / n
     return passing, complete, uniqueness, adequacy
 
 
@@ -112,15 +111,6 @@ def _trainer_score(processed: Dataset, eval_cfg: EvalConfig, ctx: ExecutionConte
     if not 0.0 <= score <= 1.0:
         raise EvaluationError(f"trainer returned out-of-range score {score}")
     return float(score)
-
-
-@dataclass(frozen=True)
-class EvaluationRecord:
-    strategy: str
-    score: float
-    result_fingerprint: str
-    wall_time_s: float
-    cache_hits: int
 
 
 def evaluate_strategy(

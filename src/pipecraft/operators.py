@@ -26,12 +26,7 @@ from .clients import ClientError, ModelClient
 from .config import MinhashConfig, OperatorConfig
 from .corpus import Dataset, Sample
 from .strategy import Strategy, Team
-from .textstats import (
-    clean_text,
-    ngram_repetition_ratio,
-    special_char_ratio,
-    token_count,
-)
+from .textstats import clean_text, text_profile, violations
 from .timing import NULL_TIMER, PhaseTimer
 
 if TYPE_CHECKING:
@@ -188,16 +183,7 @@ def strip_noise(sample: Sample) -> Sample:
 
 def filter_violations(text: str, cfg: OperatorConfig) -> list[str]:
     """Threshold-filter violations for one combined text, as reason ids."""
-    reasons = []
-    lo, hi = cfg.special_char_range
-    if not lo <= special_char_ratio(text) <= hi:
-        reasons.append("special-char-ratio")
-    tlo, thi = cfg.token_range
-    if not tlo <= token_count(text) <= thi:
-        reasons.append("token-count")
-    if ngram_repetition_ratio(text, cfg.ngram.n) > cfg.ngram.max_repetition_ratio:
-        reasons.append("ngram-repetition")
-    return reasons
+    return violations(text_profile(text, cfg.ngram.n), cfg)
 
 
 def passes_filters(text: str, cfg: OperatorConfig) -> bool:
@@ -218,7 +204,7 @@ def apply_cleaning(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def optimize_sample(sample: Sample, mode: str, client: ModelClient) -> Sample:
+def optimize_sample(sample: Sample, mode: str, client: ModelClient, seed: int = 0) -> Sample:
     """Replace the targeted non-empty field(s) with the optimizer's output.
     Client failure passes the sample through with an error flag."""
     if mode not in ("question", "answer", "both"):
@@ -231,7 +217,7 @@ def optimize_sample(sample: Sample, mode: str, client: ModelClient) -> Sample:
             raise ValueError(f"cannot optimize empty field {field_name!r} of {sample.id!r}")
         try:
             response = client.complete(
-                {"role": "optimizer", "mode": field_name, "text": text, "seed": 0}
+                {"role": "optimizer", "mode": field_name, "text": text, "seed": seed}
             )
         except ClientError as exc:
             logger.warning("optimizer failed on %s: %s", sample.id, exc)
@@ -248,7 +234,9 @@ def _shots_payload(shots: Sequence[Sample]) -> list[dict[str, str]]:
     return [{"question": s.question, "answer": s.answer} for s in shots]
 
 
-def generate_missing(sample: Sample, shots: Sequence[Sample], client: ModelClient) -> Sample:
+def generate_missing(
+    sample: Sample, shots: Sequence[Sample], client: ModelClient, seed: int = 0
+) -> Sample:
     """Fill exactly the empty field(s). With both fields empty the question is
     generated first and the answer is conditioned on it. Samples with nothing
     missing are returned unchanged without any client call."""
@@ -268,7 +256,7 @@ def generate_missing(sample: Sample, shots: Sequence[Sample], client: ModelClien
                     "question": question,
                     "answer": answer,
                     "shots": _shots_payload(shots),
-                    "seed": 0,
+                    "seed": seed,
                 }
             )
         except ClientError as exc:
@@ -284,7 +272,7 @@ def generate_missing(sample: Sample, shots: Sequence[Sample], client: ModelClien
 
 
 def select_high_quality(
-    dataset: Dataset, scorer: ModelClient, keep_fraction: float
+    dataset: Dataset, scorer: ModelClient, keep_fraction: float, seed: int = 0
 ) -> Dataset:
     """Keep the top ``ceil(keep_fraction * n)`` samples by score; ties break to
     the earlier position, output keeps the original relative order. A scorer
@@ -302,7 +290,7 @@ def select_high_quality(
                     "mode": "score",
                     "question": sample.question,
                     "answer": sample.answer,
-                    "seed": 0,
+                    "seed": seed,
                 }
             )
             scores.append(float(response["score"]))
@@ -398,14 +386,14 @@ def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
     if team is Team.CLEANING:
         return apply_cleaning(dataset, ctx.cfg)
     if team is Team.SELECTION:
-        return select_high_quality(dataset, ctx.scorer, ctx.cfg.selection_keep_fraction)
+        return select_high_quality(dataset, ctx.scorer, ctx.cfg.selection_keep_fraction, ctx.seed)
 
     processed: list[Sample] = []
     if team is Team.OPTIMIZATION:
         for sample in dataset:
             if ctx.screener.classify(sample).is_noisy:
                 mode = _optimize_mode(sample)
-                sample = optimize_sample(sample, mode, ctx.optimizer) if mode else sample
+                sample = optimize_sample(sample, mode, ctx.optimizer, ctx.seed) if mode else sample
             processed.append(sample)
         return Dataset.from_samples(processed)
 
@@ -414,7 +402,7 @@ def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
         shots = _generation_shots(clean, dataset)
         for sample in dataset:
             if ctx.screener.classify(sample).is_noisy:
-                sample = generate_missing(sample, shots, ctx.generator)
+                sample = generate_missing(sample, shots, ctx.generator, ctx.seed)
             processed.append(sample)
         return Dataset.from_samples(processed)
 

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 from .clients import ScreenerClient
 from .config import OperatorConfig
 from .corpus import Dataset, Sample
-from .textstats import (
-    clean_text,
-    ngram_repetition_ratio,
-    special_char_ratio,
-    token_count,
-)
+from .textstats import clean_text, text_profile, violations
+from .textstats import REASON_NGRAM, REASON_SPECIAL_CHARS, REASON_TOKEN_COUNT  # noqa: F401
 from .timing import NULL_TIMER, PhaseTimer
 
 logger = logging.getLogger(__name__)
@@ -29,9 +25,7 @@ LABEL_NOISY = 1
 REASON_MISSING_QUESTION = "missing-question"
 REASON_MISSING_ANSWER = "missing-answer"
 REASON_MARKUP = "markup"
-REASON_SPECIAL_CHARS = "special-char-ratio"
-REASON_TOKEN_COUNT = "token-count"
-REASON_NGRAM = "ngram-repetition"
+# the three threshold reasons (special-char, token-count, n-gram) come from textstats
 REASON_REMOTE_FALLBACK = "remote-fallback"
 
 
@@ -58,15 +52,7 @@ def heuristic_verdict(sample: Sample, cfg: OperatorConfig) -> ScreenerVerdict:
     clean_a = clean_text(sample.answer)
     if clean_q != sample.question or clean_a != sample.answer:
         reasons.append(REASON_MARKUP)
-    stripped = clean_q + "\n" + clean_a
-    lo, hi = cfg.special_char_range
-    if not lo <= special_char_ratio(stripped) <= hi:
-        reasons.append(REASON_SPECIAL_CHARS)
-    tlo, thi = cfg.token_range
-    if not tlo <= token_count(stripped) <= thi:
-        reasons.append(REASON_TOKEN_COUNT)
-    if ngram_repetition_ratio(stripped, cfg.ngram.n) > cfg.ngram.max_repetition_ratio:
-        reasons.append(REASON_NGRAM)
+    reasons += violations(text_profile(clean_q + "\n" + clean_a, cfg.ngram.n), cfg)
     if reasons:
         return ScreenerVerdict(LABEL_NOISY, tuple(reasons))
     return ScreenerVerdict(LABEL_CLEAN)

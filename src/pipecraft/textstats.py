@@ -1,9 +1,18 @@
-"""Text-level quality metrics shared by cleaning filters, the screener, and scoring."""
+"""Text-level quality metrics shared by cleaning filters, the screener, and scoring.
+
+A text's threshold statistics are computed once per run: :func:`text_profile`
+memoizes them in a bounded memo, cleared when each run starts and ends, that
+holds only pure functions of its key and so never changes an output.
+"""
 from __future__ import annotations
 
 import html
 import re
 import unicodedata
+from functools import lru_cache
+from typing import NamedTuple
+
+from .config import OperatorConfig
 
 # Alphabet treated as ordinary content: letters in any script, decimal digits,
 # whitespace, and common sentence punctuation. Everything else is "special".
@@ -21,11 +30,16 @@ _CJK_RANGES = (
     (0xF900, 0xFAFF),    # CJK compatibility
     (0x20000, 0x2EBEF),  # CJK extensions B..F
 )
+_CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
+# one CJK codepoint, or a run of characters that are neither whitespace nor CJK
+_TOKEN_RE = re.compile(rf"[{_CJK_CLASS}]|[^\s{_CJK_CLASS}]+")
 
+# distinct (text, n) pairs whose profile a run keeps
+PROFILE_MEMO_SIZE = 1 << 15
 
-def is_cjk(ch: str) -> bool:
-    code = ord(ch)
-    return any(lo <= code <= hi for lo, hi in _CJK_RANGES)
+REASON_SPECIAL_CHARS = "special-char-ratio"
+REASON_TOKEN_COUNT = "token-count"
+REASON_NGRAM = "ngram-repetition"
 
 
 def _clean_once(text: str) -> str:
@@ -67,31 +81,16 @@ def special_char_ratio(text: str) -> float:
 
 def tokenize(text: str) -> list[str]:
     """Whitespace-split tokens, with every CJK codepoint its own token."""
-    tokens: list[str] = []
-    for chunk in text.split():
-        buf = ""
-        for ch in chunk:
-            if is_cjk(ch):
-                if buf:
-                    tokens.append(buf)
-                    buf = ""
-                tokens.append(ch)
-            else:
-                buf += ch
-        if buf:
-            tokens.append(buf)
-    return tokens
+    return _TOKEN_RE.findall(text)
 
 
 def token_count(text: str) -> int:
     return len(tokenize(text))
 
 
-def ngram_repetition_ratio(text: str, n: int) -> float:
-    """1 - (distinct word n-grams / total word n-grams); short texts -> 0."""
+def _repetition(tokens: list[str], n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
-    tokens = tokenize(text)
     total = len(tokens) - n + 1
     if total < 1:
         return 0.0
@@ -99,7 +98,49 @@ def ngram_repetition_ratio(text: str, n: int) -> float:
     return 1.0 - len(grams) / total
 
 
+def ngram_repetition_ratio(text: str, n: int) -> float:
+    """1 - (distinct word n-grams / total word n-grams); short texts -> 0."""
+    return _repetition(tokenize(text), n)
+
+
+def _adequacy(tokens: int, floor_tokens: int) -> float:
+    return min(1.0, tokens / max(1, floor_tokens))
+
+
 def length_adequacy(text: str, floor_tokens: int) -> float:
     """Bounded score in [0, 1]: ramps linearly up to ``floor_tokens`` tokens."""
-    floor_tokens = max(1, floor_tokens)
-    return min(1.0, token_count(text) / floor_tokens)
+    return _adequacy(token_count(text), floor_tokens)
+
+
+class TextProfile(NamedTuple):
+    """The threshold statistics of one text, with word n-grams of size ``n``."""
+
+    special_ratio: float
+    tokens: int
+    ngram_ratio: float
+
+    def adequacy(self, cfg: OperatorConfig) -> float:
+        """Length adequacy, saturating at four times the minimum token count."""
+        return _adequacy(self.tokens, 4 * max(1, cfg.token_range[0]))
+
+
+@lru_cache(maxsize=PROFILE_MEMO_SIZE)
+def text_profile(text: str, n: int) -> TextProfile:
+    """Memoized profile of ``text``; keyed on the text itself, so two texts
+    never share an entry. Clear with ``text_profile.cache_clear()``."""
+    tokens = tokenize(text)
+    return TextProfile(special_char_ratio(text), len(tokens), _repetition(tokens, n))
+
+
+def violations(profile: TextProfile, cfg: OperatorConfig) -> list[str]:
+    """Reason ids of every cleaning threshold the profiled text violates."""
+    reasons = []
+    lo, hi = cfg.special_char_range
+    if not lo <= profile.special_ratio <= hi:
+        reasons.append(REASON_SPECIAL_CHARS)
+    tlo, thi = cfg.token_range
+    if not tlo <= profile.tokens <= thi:
+        reasons.append(REASON_TOKEN_COUNT)
+    if profile.ngram_ratio > cfg.ngram.max_repetition_ratio:
+        reasons.append(REASON_NGRAM)
+    return reasons

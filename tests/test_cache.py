@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import json
+import logging
 import random
 
 import pytest
 
-from pipecraft.cache import CacheError, CacheIntegrityError, CacheLock, StrategyCache
+from pipecraft.cache import (
+    INDEX_FILE,
+    CacheError,
+    CacheIntegrityError,
+    CacheLock,
+    StrategyCache,
+)
+from pipecraft.cli import main
 from pipecraft.config import OperatorConfig
-from pipecraft.corpus import load_dataset
+from pipecraft.corpus import load_dataset, save_dataset
 from pipecraft.operators import ExecutionContext, apply_strategy
+from pipecraft.synthetic import messy_corpus
 from pipecraft.strategy import (
     EMPTY_STRATEGY,
     Strategy,
@@ -231,6 +241,66 @@ class TestPersistence:
         )
         other = StrategyCache(root, digest, seed=1)
         assert other.find_longest_prefix(Strategy((C, O)), corpus.fingerprint) is None
+
+
+def _truncated_indexes(root):
+    """The index with its last line cut to each shorter length, newline
+    included: the states a crash during an append can leave behind."""
+    index = (root / INDEX_FILE).read_bytes()
+    *head, last = index.splitlines(keepends=True)
+    return b"".join(head), last
+
+
+class TestTornIndex:
+    def test_last_line_cut_at_every_offset(self, tmp_path, caplog):
+        root = tmp_path / "torn"
+        digest = OperatorConfig().digest()
+        corpus = messy_test_corpus(3)
+        StrategyCache(root, digest, seed=0).apply_with_reuse(
+            Strategy((C, O, S)), corpus, make_ctx()
+        )
+        head, last = _truncated_indexes(root)
+        prefixes = [Strategy(teams).canonical() for teams in ((C,), (C, O), (C, O, S))]
+        for cut in range(len(last)):
+            (root / INDEX_FILE).write_bytes(head + last[:cut])
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+                cache = StrategyCache(root, digest, seed=0)
+            # only the whole line without its newline still decodes
+            loaded = prefixes if cut == len(last) - 1 else prefixes[:2]
+            assert [e.strategy for e in cache.entries()] == loaded
+            assert bool(caplog.records) == (0 < cut < len(last) - 1)
+            index = (root / INDEX_FILE).read_text(encoding="utf-8")
+            assert index.endswith("\n")
+            assert [json.loads(line)["strategy"] for line in index.splitlines()] == loaded
+            # an append after recovery survives the next load
+            cache.apply_with_reuse(Strategy((C, O, S)), corpus, make_ctx())
+            reopened = StrategyCache(root, digest, seed=0)
+            assert [e.strategy for e in reopened.entries()] == prefixes
+
+    def test_run_on_torn_index_matches_clean_run(self, tmp_path, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_dataset(messy_corpus(seed=10), corpus_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(
+            json.dumps(
+                {"dataset": str(corpus_path), "seed": 3, "cache_root": str(tmp_path / "cache")}
+            ),
+            encoding="utf-8",
+        )
+
+        def run(out: str) -> bytes:
+            assert main(["run", "--config", str(config_path), "--out", str(tmp_path / out)]) == 0
+            return (tmp_path / out / "final_dataset.jsonl").read_bytes()
+
+        expected = run("first")
+        head, last = _truncated_indexes(tmp_path / "cache")
+        # every offset is covered at load level above; a full run per offset
+        # costs about 0.15 s, so the runs take every 16th plus the two edges
+        cuts = sorted({*range(0, len(last), 16), len(last) - 40, len(last) - 1})
+        for cut in cuts:
+            (tmp_path / "cache" / INDEX_FILE).write_bytes(head + last[:cut])
+            assert run(f"cut{cut}") == expected
 
 
 class TestIntegrity:

@@ -373,6 +373,31 @@ class TestApplyTeam:
         apply_team(Team.SELECTION, corpus, ctx)
         assert ctx.team_invocations == {Team.CLEANING: 2, Team.SELECTION: 1}
 
+    def test_run_seed_reaches_every_model_role(self):
+        requests: list[dict] = []
+
+        def recording(role, respond):
+            def fn(req):
+                requests.append(req)
+                return respond(req)
+
+            return ScriptedModelClient(role, fn)
+
+        rng = random.Random(9)
+        markup = clean_sample("mk", rng)
+        markup = markup.with_fields(question="<b>" + markup.question + "</b>")
+        missing = Sample(id="m", question=make_words(rng, 20) + " qm", answer="")
+        corpus = Dataset.from_samples([clean_sample("c", rng), markup, missing])
+        ctx = ExecutionContext.with_defaults(
+            seed=7,
+            optimizer=recording("optimizer", lambda req: {"text": req["text"], "status": "ok"}),
+            generator=recording("generator", lambda req: {"text": "filled", "status": "ok"}),
+            scorer=recording("scorer", lambda req: {"score": 0.5, "status": "ok"}),
+        )
+        apply_strategy(Strategy((Team.OPTIMIZATION, Team.GENERATION, Team.SELECTION)), corpus, ctx)
+        assert {req["role"] for req in requests} == {"optimizer", "generator", "scorer"}
+        assert [req["seed"] for req in requests] == [7] * len(requests)
+
 
 class TestOrderAndDeterminism:
     def test_output_order_is_subsequence(self, cfg):

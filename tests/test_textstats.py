@@ -1,16 +1,32 @@
 from __future__ import annotations
 
+import json
 import random
+import re
 
 import pytest
 
+from pipecraft import cli
+from pipecraft.clients import HeuristicScorer
+from pipecraft.config import NgramConfig, OperatorConfig
+from pipecraft.corpus import save_dataset
+from pipecraft.evaluation import proxy_components
+from pipecraft.operators import apply_cleaning, filter_violations, strip_noise
+from pipecraft.screener import heuristic_verdict
+from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import (
+    PROFILE_MEMO_SIZE,
+    REASON_NGRAM,
+    REASON_SPECIAL_CHARS,
+    REASON_TOKEN_COUNT,
     clean_text,
     length_adequacy,
     ngram_repetition_ratio,
     special_char_ratio,
+    text_profile,
     token_count,
     tokenize,
+    violations,
 )
 
 
@@ -96,3 +112,254 @@ def test_length_adequacy_bounds():
     assert length_adequacy("word " * 40, 40) == 1.0
     assert length_adequacy("word " * 10, 40) == pytest.approx(0.25)
     assert 0.0 <= length_adequacy("word " * 999, 40) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the per-character tokenizer and the threshold
+# checks as they were written before the profile memo, kept verbatim so the
+# regex tokenizer and the single ``violations`` rule stay equivalent to them.
+# ---------------------------------------------------------------------------
+
+REF_CJK_RANGES = (
+    (0x3040, 0x30FF),
+    (0x3400, 0x4DBF),
+    (0x4E00, 0x9FFF),
+    (0xAC00, 0xD7AF),
+    (0xF900, 0xFAFF),
+    (0x20000, 0x2EBEF),
+)
+
+
+def ref_is_cjk(ch: str) -> bool:
+    code = ord(ch)
+    return any(lo <= code <= hi for lo, hi in REF_CJK_RANGES)
+
+
+def ref_tokenize(text: str) -> list[str]:
+    tokens: list[str] = []
+    for chunk in text.split():
+        buf = ""
+        for ch in chunk:
+            if ref_is_cjk(ch):
+                if buf:
+                    tokens.append(buf)
+                    buf = ""
+                tokens.append(ch)
+            else:
+                buf += ch
+        if buf:
+            tokens.append(buf)
+    return tokens
+
+
+def ref_ngram_ratio(text: str, n: int) -> float:
+    tokens = ref_tokenize(text)
+    total = len(tokens) - n + 1
+    if total < 1:
+        return 0.0
+    grams = {tuple(tokens[i : i + n]) for i in range(total)}
+    return 1.0 - len(grams) / total
+
+
+def ref_filter_violations(text: str, cfg: OperatorConfig) -> list[str]:
+    """operators.filter_violations and the threshold part of
+    screener.heuristic_verdict (the two were the same formula)."""
+    reasons = []
+    lo, hi = cfg.special_char_range
+    if not lo <= special_char_ratio(text) <= hi:
+        reasons.append("special-char-ratio")
+    tlo, thi = cfg.token_range
+    if not tlo <= len(ref_tokenize(text)) <= thi:
+        reasons.append("token-count")
+    if ref_ngram_ratio(text, cfg.ngram.n) > cfg.ngram.max_repetition_ratio:
+        reasons.append("ngram-repetition")
+    return reasons
+
+
+def ref_heuristic_score(question: str, answer: str, cfg: OperatorConfig) -> float:
+    """clients.HeuristicScorer's score."""
+    text = question + "\n" + answer
+    lo, hi = cfg.special_char_range
+    tlo, thi = cfg.token_range
+    tokens = len(ref_tokenize(text))
+    passes = (
+        lo <= special_char_ratio(text) <= hi
+        and tlo <= tokens <= thi
+        and ref_ngram_ratio(text, cfg.ngram.n) <= cfg.ngram.max_repetition_ratio
+    )
+    complete = bool(question) and bool(answer)
+    adequacy = min(1.0, tokens / max(1, 4 * max(1, cfg.token_range[0])))
+    return (float(passes) + float(complete) + adequacy) / 3.0
+
+
+STR_SPLIT_WHITESPACE = (
+    " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u200a\u2028\u2029\u202f\u205f\u3000"
+)
+
+
+def _edge_codepoints() -> list[str]:
+    """Both ends of each CJK range and one codepoint past each end."""
+    chars = []
+    for lo, hi in REF_CJK_RANGES:
+        chars += [chr(lo - 1), chr(lo), chr(hi), chr(hi + 1)]
+    return chars
+
+
+def random_unicode_texts(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    pools = [
+        _edge_codepoints(),
+        STR_SPLIT_WHITESPACE,
+        "abcxyz019.,!?#$<>&-'\"()",
+        "深度学习ひらがなカタカナ한국어",
+    ]
+
+    def pick() -> str:
+        roll = rng.random()
+        if roll < 0.15:
+            return chr(rng.randint(0x20000, 0x2EBEF))  # astral CJK extensions
+        if roll < 0.35:
+            return chr(rng.randint(0, 0x10FFFF))
+        return rng.choice(rng.choice(pools))
+
+    return ["".join(pick() for _ in range(rng.randint(0, 40))) for _ in range(count)]
+
+
+def messy_texts() -> list[str]:
+    texts = []
+    for sample in messy_corpus(seed=0):
+        stripped = strip_noise(sample)
+        texts += [sample.question, sample.answer, sample.combined_text, stripped.combined_text]
+    return texts
+
+
+# thresholds tight enough that short random strings fall on both sides
+TIGHT_CFG = OperatorConfig(
+    special_char_range=(0.1, 0.5),
+    token_range=(2, 6),
+    ngram=NgramConfig(n=1, max_repetition_ratio=0.2),
+)
+
+
+# token bounds wide open; 1 - 3/4 is exact in binary, so the n-gram bound is hit
+NGRAM_BOUND_CFG = OperatorConfig(
+    token_range=(0, 99), ngram=NgramConfig(n=1, max_repetition_ratio=0.25)
+)
+
+
+class TestRegexTokenizerEquivalence:
+    def test_python_whitespace_class_is_str_split_whitespace(self):
+        space_re = re.compile(r"\s")
+        for code in range(0x110000):
+            ch = chr(code)
+            assert bool(space_re.fullmatch(ch)) == (len(("a" + ch + "a").split()) == 2), hex(code)
+
+    def test_matches_reference_on_random_unicode(self):
+        for text in random_unicode_texts(seed=2, count=4000):
+            assert tokenize(text) == ref_tokenize(text), ascii(text)
+
+    def test_matches_reference_on_cjk_range_edges(self):
+        edges = "".join(_edge_codepoints())
+        for text in (edges, " ".join(edges), "x".join(edges), edges + "\u3000" + edges):
+            assert tokenize(text) == ref_tokenize(text)
+
+    def test_matches_reference_on_messy_corpus(self):
+        for text in messy_texts():
+            assert tokenize(text) == ref_tokenize(text)
+
+
+class TestProfileAndViolations:
+    @pytest.mark.parametrize("cfg", [OperatorConfig(), TIGHT_CFG], ids=["default", "tight"])
+    def test_match_reference_formulas(self, cfg):
+        for text in random_unicode_texts(seed=3, count=1500) + messy_texts():
+            profile = text_profile(text, cfg.ngram.n)
+            assert profile.tokens == len(ref_tokenize(text))
+            assert profile.special_ratio == special_char_ratio(text)
+            assert profile.ngram_ratio == ref_ngram_ratio(text, cfg.ngram.n)
+            assert violations(profile, cfg) == ref_filter_violations(text, cfg)
+            assert filter_violations(text, cfg) == ref_filter_violations(text, cfg)
+
+    @pytest.mark.parametrize(
+        "cfg, text, expected",
+        [
+            (NGRAM_BOUND_CFG, "a a b c", []),  # repetition exactly 0.25
+            (NGRAM_BOUND_CFG, "a a b b", [REASON_NGRAM]),
+        ]
+        + [
+            (OperatorConfig(special_char_range=(0.25, 0.5), token_range=(0, 99)), text, want)
+            for text, want in (
+                ("a#bc", []),
+                ("a#b#", []),
+                ("a#bcd", [REASON_SPECIAL_CHARS]),
+                ("a##b#", [REASON_SPECIAL_CHARS]),
+            )
+        ]
+        + [
+            (OperatorConfig(token_range=(2, 6)), text, want)
+            for text, want in (
+                ("a b", []),
+                ("a b c d e f", []),
+                ("a", [REASON_TOKEN_COUNT]),
+                ("a b c d e f g", [REASON_TOKEN_COUNT]),
+            )
+        ],
+    )
+    def test_bounds_are_inclusive(self, cfg, text, expected):
+        assert violations(text_profile(text, cfg.ngram.n), cfg) == expected
+        assert ref_filter_violations(text, cfg) == expected
+
+    def test_messy_corpus_samples(self, cfg):
+        thresholds = {REASON_SPECIAL_CHARS, REASON_TOKEN_COUNT, REASON_NGRAM}
+        scorer = HeuristicScorer(cfg)
+        for sample in messy_corpus(seed=0):
+            stripped = strip_noise(sample).combined_text
+            verdict = heuristic_verdict(sample, cfg)
+            assert [r for r in verdict.reasons if r in thresholds] == filter_violations(
+                stripped, cfg
+            )
+            request = {"question": sample.question, "answer": sample.answer}
+            assert scorer.complete(request)["score"] == ref_heuristic_score(
+                sample.question, sample.answer, cfg
+            )
+
+
+    def test_proxy_components_match_reference(self, cfg):
+        for dataset in (messy_corpus(seed=0), apply_cleaning(messy_corpus(seed=0), cfg)):
+            texts = [sample.combined_text for sample in dataset]
+            floor = 4 * max(1, cfg.token_range[0])
+            passing, _, _, adequacy = proxy_components(dataset, cfg)
+            assert passing == sum(not ref_filter_violations(t, cfg) for t in texts) / len(texts)
+            assert adequacy == sum(
+                min(1.0, len(ref_tokenize(t)) / floor) for t in texts
+            ) / len(texts)
+
+
+class TestProfileMemo:
+    def test_bounded(self):
+        text_profile.cache_clear()
+        for i in range(PROFILE_MEMO_SIZE + 10):
+            text_profile(f"t{i}", 1)
+        info = text_profile.cache_info()
+        assert info.maxsize == PROFILE_MEMO_SIZE
+        assert info.currsize == PROFILE_MEMO_SIZE
+        text_profile.cache_clear()
+
+    def test_lasts_one_run(self, tmp_path, monkeypatch, capsys):
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_dataset(messy_corpus(seed=10), corpus_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dataset": str(corpus_path)}), encoding="utf-8")
+        sizes_at_start, sizes_at_end = [], []
+        real_run_search = cli.run_search
+
+        def spy(*args, **kwargs):
+            sizes_at_start.append(text_profile.cache_info().currsize)
+            result = real_run_search(*args, **kwargs)
+            sizes_at_end.append(text_profile.cache_info().currsize)
+            return result
+
+        monkeypatch.setattr(cli, "run_search", spy)
+        text_profile("left over from an earlier run", 5)
+        assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "r")]) == 0
+        assert sizes_at_start == [0]
+        assert sizes_at_end[0] > 0 and text_profile.cache_info().currsize == 0
