@@ -7,12 +7,14 @@ prefix's result and applies only its remaining suffix teams. Reuse is only
 sound when operators behave deterministically, which is why config digest
 and seed are part of the key.
 
-Layout: one directory per entry (dataset file + metadata file) plus an
-append-only index file, so a cache directory survives restarts and can be
-inspected or verified offline.
+Layout: one directory per entry, holding the dataset file and the entry's
+metadata file. The metadata is written last, by rename, so an entry exists
+exactly when its metadata file does; there is no separate index. A cache
+directory survives restarts and can be inspected or verified offline.
 """
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import logging
@@ -28,7 +30,6 @@ from .strategy import Strategy, parse_strategy, strategy_key
 
 logger = logging.getLogger(__name__)
 
-INDEX_FILE = "index.jsonl"
 ENTRIES_DIR = "entries"
 DATA_FILE = "data.jsonl"
 META_FILE = "meta.json"
@@ -68,51 +69,23 @@ class StrategyCache:
         self.root = Path(root)
         self.config_digest = config_digest
         self.seed = seed
-        self.root.mkdir(parents=True, exist_ok=True)
-        (self.root / ENTRIES_DIR).mkdir(exist_ok=True)
+        try:
+            (self.root / ENTRIES_DIR).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise CacheError(f"cannot create cache root {self.root}: {exc}") from exc
         self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], CacheEntry] = {}
         self._hits = 0
         self._saved = 0
-        self._load_index()
-
-    # -- persistence -------------------------------------------------------
-
-    def _index_path(self) -> Path:
-        return self.root / INDEX_FILE
-
-    def _load_index(self) -> None:
-        """Read the index, skipping lines a crash tore; a torn or unterminated
-        tail is rewritten away so the next append starts on a fresh line."""
-        path = self._index_path()
-        if not path.exists():
-            return
-        text = path.read_text(encoding="utf-8")
-        intact = text.endswith("\n") or not text
-        for number, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
-                continue
+        for meta in sorted((self.root / ENTRIES_DIR).glob(f"*/{META_FILE}")):
             try:
-                entry = CacheEntry(**json.loads(line))
-            except (json.JSONDecodeError, TypeError) as exc:
-                logger.warning("skipping unreadable line %d of %s: %s", number, path, exc)
-                intact = False
+                entry = CacheEntry(**json.loads(meta.read_text(encoding="utf-8")))
+            except (OSError, ValueError, TypeError) as exc:
+                logger.warning("skipping unreadable cache entry %s: %s", meta, exc)
                 continue
             self._entries[(entry.key, entry.base_fingerprint)] = entry
-        if not intact:
-            self._rewrite_index()
 
-    def _append_index(self, entry: CacheEntry) -> None:
-        with open(self._index_path(), "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(asdict(entry), sort_keys=True) + "\n")
-            handle.flush()
-
-    def _rewrite_index(self) -> None:
-        tmp = self._index_path().with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            for entry in self._entries.values():
-                handle.write(json.dumps(asdict(entry), sort_keys=True) + "\n")
-        os.replace(tmp, self._index_path())
+    # -- persistence -------------------------------------------------------
 
     def _entry_dir(self, key: str, base_fingerprint: str) -> Path:
         digest = hashlib.sha256(f"{key}|base={base_fingerprint}".encode("utf-8")).hexdigest()[:24]
@@ -150,12 +123,13 @@ class StrategyCache:
                 created_at=time.time(),
                 producer_round=producer_round,
             )
-            (entry_dir / META_FILE).write_text(
+            meta_tmp = entry_dir / f"{META_FILE}.tmp"
+            meta_tmp.write_text(
                 json.dumps(asdict(entry), sort_keys=True, indent=2) + "\n",
                 encoding="utf-8",
             )
+            os.replace(meta_tmp, entry_dir / META_FILE)
             self._entries[(key, base_fingerprint)] = entry
-            self._append_index(entry)
             return entry
 
     def load_entry(self, entry: CacheEntry) -> Dataset:
@@ -176,31 +150,19 @@ class StrategyCache:
     ) -> tuple[CacheEntry, Strategy] | None:
         """Longest cached strict-or-full prefix of ``f`` for this base dataset
         under the current config digest and seed, with the residual suffix."""
-        best: CacheEntry | None = None
-        best_len = -1
-        for entry in self._entries.values():
-            if entry.base_fingerprint != base_fingerprint:
-                continue
-            teams = entry.strategy_value().teams
-            if len(teams) > len(f.teams) or len(teams) <= best_len:
-                continue
-            if f.teams[: len(teams)] != teams:
-                continue
-            if entry.key != strategy_key(Strategy(teams), self.config_digest, self.seed):
-                continue
-            best = entry
-            best_len = len(teams)
-        if best is None:
-            return None
-        suffix = Strategy(f.teams[best_len:])
-        return best, suffix
+        for k in range(len(f.teams), 0, -1):
+            key = strategy_key(Strategy(f.teams[:k]), self.config_digest, self.seed)
+            entry = self._entries.get((key, base_fingerprint))
+            if entry is not None:
+                return entry, Strategy(f.teams[k:])
+        return None
 
     def evict(self, entry: CacheEntry) -> None:
         with self._lock:
             self._entries.pop((entry.key, entry.base_fingerprint), None)
-            self._rewrite_index()
         entry_dir = (self.root / entry.storage_path).parent
-        for name in (DATA_FILE, META_FILE):
+        # meta first: a crash part-way never leaves a meta without its data
+        for name in (META_FILE, DATA_FILE):
             try:
                 (entry_dir / name).unlink()
             except OSError:
@@ -276,44 +238,46 @@ class StrategyCache:
         """Remove entries older than ``max_age_s`` and/or beyond the newest
         ``max_entries``. Returns the number of entries removed."""
         entries = sorted(self._entries.values(), key=lambda e: e.created_at, reverse=True)
-        keep: list[CacheEntry] = []
         now = time.time()
-        for position, entry in enumerate(entries):
-            if max_entries is not None and position >= max_entries:
-                continue
-            if max_age_s is not None and now - entry.created_at > max_age_s:
-                continue
-            keep.append(entry)
-        removed = [entry for entry in entries if entry not in keep]
+        removed = [
+            entry
+            for position, entry in enumerate(entries)
+            if (max_entries is not None and position >= max_entries)
+            or (max_age_s is not None and now - entry.created_at > max_age_s)
+        ]
         for entry in removed:
             self.evict(entry)
         return len(removed)
 
 
 class CacheLock:
-    """Exclusive per-cache-root lock preventing concurrent writer processes."""
+    """Exclusive per-cache-root lock preventing concurrent writer processes.
+
+    The lock is an ``flock`` on ``.lock``, so the kernel releases it when its
+    holder exits or dies. The file itself is never removed: unlinking it would
+    race with the next holder."""
 
     def __init__(self, root: str | Path) -> None:
         self.path = Path(root) / LOCK_FILE
         self._fd: int | None = None
 
     def __enter__(self) -> "CacheLock":
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            os.write(self._fd, str(os.getpid()).encode("ascii"))
-        except FileExistsError as exc:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+        except OSError as exc:
+            raise CacheError(f"cannot open cache lock {self.path}: {exc}") from exc
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError as exc:
+            os.close(fd)
             raise CacheError(
-                f"cache root {self.path.parent} is locked by another process "
-                f"(remove {self.path} if stale)"
+                f"cache root {self.path.parent} is locked by another process"
             ) from exc
+        self._fd = fd
         return self
 
     def __exit__(self, *exc_info) -> None:
         if self._fd is not None:
             os.close(self._fd)
             self._fd = None
-        try:
-            self.path.unlink()
-        except OSError:
-            pass

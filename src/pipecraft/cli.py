@@ -187,24 +187,26 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
-    cache = StrategyCache(args.cache_dir, config_digest="", seed=0)
+    try:
+        if args.cache_command == "prune":
+            max_age_s = args.max_age_days * 86400.0 if args.max_age_days is not None else None
+            with CacheLock(args.cache_dir):
+                cache = StrategyCache(args.cache_dir, config_digest="", seed=0)
+                removed = cache.prune(max_entries=args.max_entries, max_age_s=max_age_s)
+            print(f"pruned {removed} entries, {cache.stats()['entries']} remain")
+            return EXIT_OK
+        cache = StrategyCache(args.cache_dir, config_digest="", seed=0)
+    except CacheError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     if args.cache_command == "stats":
-        stats = cache.stats()
-        print(json.dumps(stats, sort_keys=True))
+        print(json.dumps(cache.stats(), sort_keys=True))
         return EXIT_OK
-    if args.cache_command == "verify":
-        bad = cache.verify()
-        for key in bad:
-            print(f"mismatch: {key}")
-        print(f"{len(bad)} mismatch(es) in {cache.stats()['entries']} entries")
-        return EXIT_OK if not bad else EXIT_RUNTIME
-    if args.cache_command == "prune":
-        max_age_s = args.max_age_days * 86400.0 if args.max_age_days is not None else None
-        removed = cache.prune(max_entries=args.max_entries, max_age_s=max_age_s)
-        print(f"pruned {removed} entries, {cache.stats()['entries']} remain")
-        return EXIT_OK
-    print(f"unknown cache command {args.cache_command!r}", file=sys.stderr)
-    return EXIT_CONFIG
+    bad = cache.verify()
+    for key in bad:
+        print(f"mismatch: {key}")
+    print(f"{len(bad)} mismatch(es) in {cache.stats()['entries']} entries")
+    return EXIT_OK if not bad else EXIT_RUNTIME
 
 
 def cmd_report(args: argparse.Namespace) -> int:

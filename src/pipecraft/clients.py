@@ -13,7 +13,7 @@ import hashlib
 import json
 import urllib.request
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -136,31 +136,6 @@ class HeuristicScorer(ModelClient):
         complete = bool(question) and bool(answer)
         score = (float(passes) + float(complete) + profile.adequacy(self.cfg)) / 3.0
         return {"score": score, "status": "ok"}
-
-
-class ConstantScorer(ModelClient):
-    """Scores every sample identically; selection then keeps by position."""
-
-    role = "scorer"
-
-    def __init__(self, value: float = 0.5) -> None:
-        super().__init__()
-        self.value = value
-
-    def _do_complete(self, request: dict) -> dict:
-        return {"score": self.value, "status": "ok"}
-
-
-class ScriptedModelClient(ModelClient):
-    """Test/deterministic client driven by a user-supplied function."""
-
-    def __init__(self, role: str, fn: Callable[[dict], dict]) -> None:
-        super().__init__()
-        self.role = role
-        self._fn = fn
-
-    def _do_complete(self, request: dict) -> dict:
-        return self._fn(request)
 
 
 class HttpModelClient(ModelClient):
@@ -319,18 +294,3 @@ class HttpAgentClient(AgentClient):
         if not isinstance(content, str):
             raise ClientError("agent endpoint returned no content")
         return content
-
-
-class ScriptedAgent(AgentClient):
-    """Test agent replaying a fixed sequence of responses."""
-
-    def __init__(self, responses: Sequence[str]) -> None:
-        self._responses = list(responses)
-        self.calls = 0
-
-    def complete(self, messages: list[dict[str, str]], temperature: float, seed: int) -> str:
-        if self.calls >= len(self._responses):
-            raise ClientError("scripted agent ran out of responses")
-        response = self._responses[self.calls]
-        self.calls += 1
-        return response

@@ -20,6 +20,8 @@ ALLOWED_PUNCTUATION = set(".,!?;:'\"()-")
 
 _TAG_RE = re.compile(r"<!--.*?-->|</?[A-Za-z][^<>]*>", re.DOTALL)
 _WS_RUN_RE = re.compile(r"\s+")
+# exactly the Unicode "Cc" (control) category, which stability policy fixes
+_CONTROL_RE = re.compile("[\x00-\x1f\x7f-\x9f]")
 _MAX_CLEAN_PASSES = 8
 
 _CJK_RANGES = (
@@ -45,7 +47,7 @@ REASON_NGRAM = "ngram-repetition"
 def _clean_once(text: str) -> str:
     text = html.unescape(text)
     text = _TAG_RE.sub(" ", text)
-    text = "".join(ch for ch in text if unicodedata.category(ch) != "Cc")
+    text = _CONTROL_RE.sub("", text)
     text = _WS_RUN_RE.sub(" ", text)
     return text.strip()
 

@@ -1,0 +1,47 @@
+"""Deterministic clients that tests script: fixed scores, replies from a
+function, and an agent replaying a list of responses."""
+from __future__ import annotations
+
+from typing import Callable, Sequence
+
+from pipecraft.clients import AgentClient, ClientError, ModelClient
+
+
+class ConstantScorer(ModelClient):
+    """Scores every sample identically; selection then keeps by position."""
+
+    role = "scorer"
+
+    def __init__(self, value: float = 0.5) -> None:
+        super().__init__()
+        self.value = value
+
+    def _do_complete(self, request: dict) -> dict:
+        return {"score": self.value, "status": "ok"}
+
+
+class ScriptedModelClient(ModelClient):
+    """Client whose replies come from a user-supplied function."""
+
+    def __init__(self, role: str, fn: Callable[[dict], dict]) -> None:
+        super().__init__()
+        self.role = role
+        self._fn = fn
+
+    def _do_complete(self, request: dict) -> dict:
+        return self._fn(request)
+
+
+class ScriptedAgent(AgentClient):
+    """Agent replaying a fixed sequence of responses."""
+
+    def __init__(self, responses: Sequence[str]) -> None:
+        self._responses = list(responses)
+        self.calls = 0
+
+    def complete(self, messages: list[dict[str, str]], temperature: float, seed: int) -> str:
+        if self.calls >= len(self._responses):
+            raise ClientError("scripted agent ran out of responses")
+        response = self._responses[self.calls]
+        self.calls += 1
+        return response

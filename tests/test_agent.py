@@ -19,12 +19,13 @@ from pipecraft.agent import (
     run_search,
 )
 from pipecraft.cache import StrategyCache
-from pipecraft.clients import ScriptedAgent, TrainerClient
+from pipecraft.clients import TrainerClient
 from pipecraft.config import EvalConfig, OperatorConfig, RunConfig, TrainerConfig
 from pipecraft.corpus import Dataset
 from pipecraft.evaluation import RunLog
 from pipecraft.operators import ExecutionContext, apply_strategy
 from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team
+from tests.scripted_clients import ScriptedAgent
 from tests.test_operators import messy_test_corpus
 
 C, O, G, S = Team.CLEANING, Team.OPTIMIZATION, Team.GENERATION, Team.SELECTION

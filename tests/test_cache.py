@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import random
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
+import pipecraft
 from pipecraft.cache import (
-    INDEX_FILE,
+    DATA_FILE,
+    LOCK_FILE,
+    META_FILE,
     CacheError,
     CacheIntegrityError,
     CacheLock,
@@ -243,42 +251,46 @@ class TestPersistence:
         assert other.find_longest_prefix(Strategy((C, O)), corpus.fingerprint) is None
 
 
-def _truncated_indexes(root):
-    """The index with its last line cut to each shorter length, newline
-    included: the states a crash during an append can leave behind."""
-    index = (root / INDEX_FILE).read_bytes()
-    *head, last = index.splitlines(keepends=True)
-    return b"".join(head), last
+def _newest_meta(root):
+    """Path of the metadata file of the entry written last."""
+    cache = StrategyCache(root, OperatorConfig().digest(), seed=0)
+    newest = max(cache.entries(), key=lambda e: e.created_at)
+    return (root / newest.storage_path).parent / META_FILE
 
 
-class TestTornIndex:
-    def test_last_line_cut_at_every_offset(self, tmp_path, caplog):
+def _dead_pid() -> int:
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+class TestTornEntry:
+    def test_newest_meta_cut_at_every_offset(self, tmp_path, caplog):
         root = tmp_path / "torn"
         digest = OperatorConfig().digest()
         corpus = messy_test_corpus(3)
-        StrategyCache(root, digest, seed=0).apply_with_reuse(
-            Strategy((C, O, S)), corpus, make_ctx()
-        )
-        head, last = _truncated_indexes(root)
-        prefixes = [Strategy(teams).canonical() for teams in ((C,), (C, O), (C, O, S))]
-        for cut in range(len(last)):
-            (root / INDEX_FILE).write_bytes(head + last[:cut])
+        f = Strategy((C, O, S))
+        StrategyCache(root, digest, seed=0).apply_with_reuse(f, corpus, make_ctx())
+        direct = apply_strategy(f, corpus, make_ctx())
+        meta = _newest_meta(root)
+        raw = meta.read_bytes()
+        prefixes = {Strategy(teams).canonical() for teams in ((C,), (C, O), (C, O, S))}
+        for cut in range(len(raw)):
+            meta.write_bytes(raw[:cut])
             caplog.clear()
             with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
                 cache = StrategyCache(root, digest, seed=0)
-            # only the whole line without its newline still decodes
-            loaded = prefixes if cut == len(last) - 1 else prefixes[:2]
-            assert [e.strategy for e in cache.entries()] == loaded
-            assert bool(caplog.records) == (0 < cut < len(last) - 1)
-            index = (root / INDEX_FILE).read_text(encoding="utf-8")
-            assert index.endswith("\n")
-            assert [json.loads(line)["strategy"] for line in index.splitlines()] == loaded
-            # an append after recovery survives the next load
-            cache.apply_with_reuse(Strategy((C, O, S)), corpus, make_ctx())
+            # only the whole file without its final newline still decodes
+            decodes = cut == len(raw) - 1
+            loaded = prefixes if decodes else prefixes - {f.canonical()}
+            assert {e.strategy for e in cache.entries()} == loaded
+            assert bool(caplog.records) == (not decodes)
+            out = cache.apply_with_reuse(f, corpus, make_ctx())
+            assert out.canonical_lines() == direct.canonical_lines()
             reopened = StrategyCache(root, digest, seed=0)
-            assert [e.strategy for e in reopened.entries()] == prefixes
+            assert {e.strategy for e in reopened.entries()} == prefixes
 
-    def test_run_on_torn_index_matches_clean_run(self, tmp_path, capsys):
+    def test_run_on_torn_meta_matches_clean_run(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
         save_dataset(messy_corpus(seed=10), corpus_path)
         config_path = tmp_path / "config.json"
@@ -294,13 +306,91 @@ class TestTornIndex:
             return (tmp_path / out / "final_dataset.jsonl").read_bytes()
 
         expected = run("first")
-        head, last = _truncated_indexes(tmp_path / "cache")
-        # every offset is covered at load level above; a full run per offset
-        # costs about 0.15 s, so the runs take every 16th plus the two edges
-        cuts = sorted({*range(0, len(last), 16), len(last) - 40, len(last) - 1})
-        for cut in cuts:
-            (tmp_path / "cache" / INDEX_FILE).write_bytes(head + last[:cut])
+        meta = _newest_meta(tmp_path / "cache")
+        raw = meta.read_bytes()
+        # every offset is covered at load level above; the runs take every
+        # 16th offset and the last byte
+        for cut in sorted({*range(0, len(raw), 16), len(raw) - 1}):
+            meta.write_bytes(raw[:cut])
             assert run(f"cut{cut}") == expected
+
+    def test_data_without_meta_is_not_an_entry(self, tmp_path):
+        root = tmp_path / "nometa"
+        digest = OperatorConfig().digest()
+        corpus = messy_test_corpus(2)
+        f = Strategy((C, O))
+        StrategyCache(root, digest, seed=0).apply_with_reuse(f, corpus, make_ctx())
+        meta = _newest_meta(root)
+        meta.unlink()
+        assert (meta.parent / DATA_FILE).exists()
+        cache = StrategyCache(root, digest, seed=0)
+        assert [e.strategy for e in cache.entries()] == ["Cleaning"]
+        ctx = make_ctx()
+        out = cache.apply_with_reuse(f, corpus, ctx)
+        assert ctx.team_invocations == {O: 1}
+        assert out.canonical_lines() == apply_strategy(f, corpus, make_ctx()).canonical_lines()
+        assert len(StrategyCache(root, digest, seed=0).entries()) == 2
+
+    def test_lock_naming_dead_pid_does_not_block(self, tmp_path):
+        root = tmp_path / "stale"
+        root.mkdir()
+        (root / LOCK_FILE).write_text(str(_dead_pid()), encoding="ascii")
+        with CacheLock(root):
+            with pytest.raises(CacheError):
+                with CacheLock(root):
+                    pass
+
+    def test_lock_held_by_child_blocks_until_killed(self, tmp_path):
+        root = tmp_path / "held"
+        src = str(Path(pipecraft.__file__).resolve().parents[1])
+        holder = (
+            "import sys, time\n"
+            "from pipecraft.cache import CacheLock\n"
+            "CacheLock(sys.argv[1]).__enter__()\n"
+            "print('locked', flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        child = subprocess.Popen(
+            [sys.executable, "-c", holder, str(root)],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+            text=True,
+        )
+        try:
+            assert child.stdout.readline().strip() == "locked"
+            with pytest.raises(CacheError, match="locked by another process"):
+                with CacheLock(root):
+                    pass
+        finally:
+            child.kill()
+            child.wait(timeout=10)
+            child.stdout.close()
+        with CacheLock(root):
+            pass
+        assert (root / LOCK_FILE).exists()
+
+    def test_root_left_by_index_format_opens(self, tmp_path):
+        """A root carrying an ``index.jsonl`` and a pid-bearing ``.lock`` left
+        by a killed run of the earlier index-based layout."""
+        root = tmp_path / "legacy"
+        digest = OperatorConfig().digest()
+        corpus = messy_test_corpus(5)
+        writer = StrategyCache(root, digest, seed=0)
+        writer.apply_with_reuse(Strategy((C, O, S)), corpus, make_ctx())
+        index = "".join(
+            json.dumps(asdict(entry), sort_keys=True) + "\n" for entry in writer.entries()
+        )
+        (root / "index.jsonl").write_text(index, encoding="utf-8")
+        (root / LOCK_FILE).write_text(str(_dead_pid()), encoding="ascii")
+        with CacheLock(root):
+            cache = StrategyCache(root, digest, seed=0)
+            assert {e.key for e in cache.entries()} == {e.key for e in writer.entries()}
+            ctx = make_ctx()
+            out = cache.apply_with_reuse(Strategy((C, O, S, G)), corpus, ctx)
+        assert ctx.team_invocations == {G: 1}
+        direct = apply_strategy(Strategy((C, O, S, G)), corpus, make_ctx())
+        assert out.canonical_lines() == direct.canonical_lines()
+        assert (root / "index.jsonl").read_text(encoding="utf-8") == index
 
 
 class TestIntegrity:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from pipecraft.cache import CacheLock
 from pipecraft.cli import main
 from pipecraft.config import OperatorConfig
 from pipecraft.corpus import load_dataset, save_dataset
@@ -168,6 +169,29 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert stats["entries"] == 0
+
+
+class TestCacheErrors:
+    def test_run_on_file_root_exits_1(self, tmp_path, corpus_path, capsys):
+        root = tmp_path / "not-a-dir"
+        root.write_text("x", encoding="utf-8")
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        assert "cache" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "verify", "prune"])
+    def test_cache_command_on_file_root_exits_1(self, tmp_path, capsys, command):
+        root = tmp_path / "not-a-dir"
+        root.write_text("x", encoding="utf-8")
+        assert main(["cache", command, "--cache-dir", str(root)]) == 1
+        assert "cache error" in capsys.readouterr().err
+
+    def test_prune_while_locked_exits_1(self, tmp_path, capsys):
+        root = tmp_path / "cache"
+        with CacheLock(root):
+            assert main(["cache", "prune", "--cache-dir", str(root), "--max-entries", "0"]) == 1
+        assert "locked" in capsys.readouterr().err
+        assert main(["cache", "prune", "--cache-dir", str(root), "--max-entries", "0"]) == 0
 
 
 class TestReportCommand:

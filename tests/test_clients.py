@@ -6,7 +6,6 @@ import pytest
 from pipecraft import clients
 from pipecraft.clients import (
     ClientError,
-    ConstantScorer,
     HashingEmbedder,
     HeuristicScorer,
     HttpAgentClient,
@@ -15,10 +14,10 @@ from pipecraft.clients import (
     HttpScreenerClient,
     HttpTrainerClient,
     NormalizingOptimizer,
-    ScriptedModelClient,
     TemplateGenerator,
     normalize_text,
 )
+from tests.scripted_clients import ConstantScorer, ScriptedModelClient
 
 
 class FlakyClient(ScriptedModelClient):

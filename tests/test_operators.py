@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from pipecraft.clients import ConstantScorer, ScriptedModelClient
 from pipecraft.config import OperatorConfig
 from pipecraft.corpus import Dataset, Sample
 from pipecraft.operators import (
@@ -24,6 +23,7 @@ from pipecraft.operators import (
 )
 from pipecraft.strategy import Strategy, Team
 from tests.conftest import clean_corpus, clean_sample, make_words
+from tests.scripted_clients import ConstantScorer, ScriptedModelClient
 
 
 def exact_jaccard(text_a: str, text_b: str, shingle_size: int = 5) -> float:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+import unicodedata
 
 import pytest
 
@@ -15,6 +16,7 @@ from pipecraft.operators import apply_cleaning, filter_violations, strip_noise
 from pipecraft.screener import heuristic_verdict
 from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import (
+    _CONTROL_RE,
     PROFILE_MEMO_SIZE,
     REASON_NGRAM,
     REASON_SPECIAL_CHARS,
@@ -245,6 +247,13 @@ TIGHT_CFG = OperatorConfig(
 NGRAM_BOUND_CFG = OperatorConfig(
     token_range=(0, 99), ngram=NgramConfig(n=1, max_repetition_ratio=0.25)
 )
+
+
+class TestControlCharacterRegex:
+    def test_matches_cc_category_over_all_code_points(self):
+        every = "".join(map(chr, range(0x110000)))
+        by_category = [ch for ch in every if unicodedata.category(ch) == "Cc"]
+        assert _CONTROL_RE.findall(every) == by_category
 
 
 class TestRegexTokenizerEquivalence:
