@@ -24,6 +24,7 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+from .config import from_json
 from .corpus import Dataset, DatasetError, load_dataset, save_dataset
 from .operators import ExecutionContext, apply_team
 from .strategy import Strategy, parse_strategy, strategy_key
@@ -79,8 +80,8 @@ class StrategyCache:
         self._saved = 0
         for meta in sorted((self.root / ENTRIES_DIR).glob(f"*/{META_FILE}")):
             try:
-                entry = CacheEntry(**json.loads(meta.read_text(encoding="utf-8")))
-            except (OSError, ValueError, TypeError) as exc:
+                entry = from_json(CacheEntry, json.loads(meta.read_text(encoding="utf-8")), "meta")
+            except (OSError, ValueError) as exc:  # ConfigError is a ValueError
                 logger.warning("skipping unreadable cache entry %s: %s", meta, exc)
                 continue
             self._entries[(entry.key, entry.base_fingerprint)] = entry

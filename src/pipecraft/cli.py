@@ -11,26 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 from .agent import HillClimbAgent, SearchError, run_search
 from .cache import CacheError, CacheLock, StrategyCache
-from .clients import (
-    HashingEmbedder,
-    HeuristicScorer,
-    HttpAgentClient,
-    HttpEmbeddingClient,
-    HttpScreenerClient,
-    HttpTrainerClient,
-    NormalizingOptimizer,
-    TemplateGenerator,
-)
+from .clients import HttpAgentClient, HttpEmbeddingClient, HttpScreenerClient, HttpTrainerClient
 from .config import ConfigError, RunConfig, load_run_config, run_config_snapshot
 from .corpus import DatasetError, load_dataset, save_dataset
 from .evaluation import RunLog
-from .operators import ExecutionContext
+from .operators import ExecutionContext, apply_strategy
 from .report import build_report, format_report_text, load_report, write_report
 from .sampling import stratified_sample
 from .screener import Screener
@@ -51,31 +41,22 @@ def build_context(
     run_log: RunLog | None = None,
     timer: PhaseTimer | None = None,
 ) -> ExecutionContext:
-    """Wire clients from configured endpoints, falling back to the
-    deterministic defaults for anything unset."""
+    """Wire clients from configured endpoints; anything unset keeps the
+    deterministic default of ``ExecutionContext.with_defaults``."""
     timer = timer or PhaseTimer()
     endpoints = run_cfg.endpoints
-    cfg = run_cfg.operators
-    screener_client = (
-        HttpScreenerClient(endpoints.screener) if endpoints.screener else None
-    )
-    return ExecutionContext(
-        cfg=cfg,
-        screener=Screener(cfg, client=screener_client, timer=timer),
-        optimizer=NormalizingOptimizer(),
-        generator=TemplateGenerator(),
-        scorer=HeuristicScorer(cfg),
-        embedder=(
-            HttpEmbeddingClient(endpoints.embedder, DEFAULT_EMBEDDING_DIM)
-            if endpoints.embedder
-            else HashingEmbedder(DEFAULT_EMBEDDING_DIM)
-        ),
-        agent=HttpAgentClient(endpoints.agent) if endpoints.agent else HillClimbAgent(),
-        trainer=HttpTrainerClient(endpoints.trainer) if endpoints.trainer else None,
-        cache=cache,
-        run_log=run_log,
-        timer=timer,
-        seed=run_cfg.seed,
+    remote = {}
+    if endpoints.screener:
+        client = HttpScreenerClient(endpoints.screener)
+        remote["screener"] = Screener(run_cfg.operators, client=client, timer=timer)
+    if endpoints.embedder:
+        remote["embedder"] = HttpEmbeddingClient(endpoints.embedder, DEFAULT_EMBEDDING_DIM)
+    if endpoints.trainer:
+        remote["trainer"] = HttpTrainerClient(endpoints.trainer)
+    agent = HttpAgentClient(endpoints.agent) if endpoints.agent else HillClimbAgent()
+    return ExecutionContext.with_defaults(
+        run_cfg.operators, seed=run_cfg.seed, timer=timer,
+        agent=agent, cache=cache, run_log=run_log, **remote,
     )
 
 
@@ -157,11 +138,17 @@ def cmd_apply(args: argparse.Namespace) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     run_cfg = RunConfig(seed=args.seed)
-    with tempfile.TemporaryDirectory(prefix="pipecraft-cache-") as scratch:
-        cache_root = Path(args.cache_dir) if args.cache_dir else Path(scratch)
-        cache = StrategyCache(cache_root, run_cfg.operators.digest(), run_cfg.seed)
-        ctx = build_context(run_cfg, cache=cache)
-        processed = cache.apply_with_reuse(strategy, dataset, ctx)
+    try:
+        if args.cache_dir:
+            with CacheLock(args.cache_dir):
+                cache = StrategyCache(args.cache_dir, run_cfg.operators.digest(), run_cfg.seed)
+                ctx = build_context(run_cfg, cache=cache)
+                processed = cache.apply_with_reuse(strategy, dataset, ctx)
+        else:
+            processed = apply_strategy(strategy, dataset, build_context(run_cfg))
+    except CacheError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     save_dataset(processed, args.output)
     print(
         f"applied {strategy.canonical()}: {len(dataset)} -> {len(processed)} samples"
@@ -170,15 +157,12 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    if not 0.0 < args.rate <= 1.0:
-        print("config error: rate must be in (0, 1]", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        run_cfg = RunConfig(seed=args.seed, sampling_rate=args.rate)
         dataset = load_dataset(args.input)
-    except DatasetError as exc:
+    except (ConfigError, DatasetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    run_cfg = RunConfig(seed=args.seed, sampling_rate=args.rate)
     ctx = build_context(run_cfg)
     sampled = stratified_sample(dataset, args.rate, ctx.screener, ctx.embedder)
     save_dataset(sampled, args.output)

@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 ENV_AGENT_ENDPOINT = "PIPECRAFT_AGENT_ENDPOINT"
 ENV_EMBEDDER_ENDPOINT = "PIPECRAFT_EMBEDDER_ENDPOINT"
@@ -130,43 +133,47 @@ class RunConfig:
             raise ConfigError("sampling_rate must be in (0, 1]")
         if self.initial_group_size < 1:
             raise ConfigError("initial_group_size must be >= 1")
+        if self.max_group_size < 1:
+            raise ConfigError("max_group_size must be >= 1")
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
 
 
-def _tuple2(value, caster):
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"expected a two-element range, got {value!r}")
-    return (caster(value[0]), caster(value[1]))
+def from_json(kind, value, where: str):
+    """Build a ``kind`` from decoded JSON, checking each value against the
+    field annotations; any mismatch is a ``ConfigError`` naming ``where``.
 
-
-def _operator_config(raw: dict) -> OperatorConfig:
-    kwargs = {}
-    if "minhash" in raw:
-        kwargs["minhash"] = MinhashConfig(**raw["minhash"])
-    if "special_char_range" in raw:
-        kwargs["special_char_range"] = _tuple2(raw["special_char_range"], float)
-    if "token_range" in raw:
-        kwargs["token_range"] = _tuple2(raw["token_range"], int)
-    if "ngram" in raw:
-        kwargs["ngram"] = NgramConfig(**raw["ngram"])
-    if "selection_keep_fraction" in raw:
-        kwargs["selection_keep_fraction"] = float(raw["selection_keep_fraction"])
-    return OperatorConfig(**kwargs)
-
-
-def _eval_config(raw: dict) -> EvalConfig:
-    kwargs = {}
-    if "mode" in raw:
-        kwargs["mode"] = raw["mode"]
-    if "trainer" in raw:
-        kwargs["trainer"] = TrainerConfig(**raw["trainer"])
-    if "proxy_weights" in raw:
-        weights = raw["proxy_weights"]
-        if not isinstance(weights, (list, tuple)) or len(weights) != 4:
-            raise ConfigError("proxy_weights must be a four-element list")
-        kwargs["proxy_weights"] = tuple(float(w) for w in weights)
-    return EvalConfig(**kwargs)
+    A dataclass reads from an object whose keys all name fields (a missing
+    field takes its default), a fixed-length tuple from a list of that length,
+    and a float from any finite JSON number; ``X | None`` also accepts ``null``.
+    """
+    if is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object, got {json.dumps(value)}")
+        unknown = sorted(set(value) - {f.name for f in fields(kind)})
+        if unknown:
+            raise ConfigError(f"{where} has unknown key(s): {', '.join(unknown)}")
+        hints = get_type_hints(kind)
+        kwargs = {name: from_json(hints[name], v, f"{where}.{name}") for name, v in value.items()}
+        try:  # TypeError: a field without a default is missing
+            return kind(**kwargs)
+        except (ConfigError, TypeError) as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    args = get_args(kind)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ConfigError(f"{where} must be a list of {len(args)}, got {json.dumps(value)}")
+        return tuple(from_json(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if get_origin(kind) is UnionType:  # X | None
+        inner, _none = args
+        return None if value is None else from_json(inner, value, where)
+    # bool is a subclass of int, so exact type tests keep true/false out;
+    # json.loads also yields NaN and Infinity, which no field can use
+    if kind is float and type(value) in (int, float) and math.isfinite(value):
+        return float(value)
+    if kind in (int, str) and type(value) is kind:
+        return value
+    raise ConfigError(f"{where} must be {kind.__name__}, got {json.dumps(value)}")
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -179,31 +186,16 @@ def load_run_config(path: str | Path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError("run config must be a JSON object")
-
-    endpoints_raw = raw.get("endpoints", {}) or {}
-    endpoints = Endpoints(
-        agent=os.environ.get(ENV_AGENT_ENDPOINT, endpoints_raw.get("agent")),
-        embedder=os.environ.get(ENV_EMBEDDER_ENDPOINT, endpoints_raw.get("embedder")),
-        screener=os.environ.get(ENV_SCREENER_ENDPOINT, endpoints_raw.get("screener")),
-        trainer=os.environ.get(ENV_TRAINER_ENDPOINT, endpoints_raw.get("trainer")),
-    )
-    try:
-        return RunConfig(
-            dataset=raw.get("dataset", ""),
-            sampling_rate=float(raw.get("sampling_rate", 0.20)),
-            initial_group_size=int(raw.get("initial_group_size", 4)),
-            max_group_size=int(raw.get("max_group_size", 6)),
-            max_rounds=int(raw.get("max_rounds", 5)),
-            temperature=float(raw.get("temperature", 0.6)),
-            seed=int(raw.get("seed", 0)),
-            operators=_operator_config(raw.get("operators", {}) or {}),
-            evaluation=_eval_config(raw.get("evaluation", {}) or {}),
-            endpoints=endpoints,
-            cache_root=os.environ.get(ENV_CACHE_ROOT, raw.get("cache_root")),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {exc}") from exc
+        raise ConfigError("config must be a JSON object")
+    endpoints = raw.setdefault("endpoints", {})
+    if isinstance(endpoints, dict):  # from_json reports any other value
+        for name, var in (("agent", ENV_AGENT_ENDPOINT), ("embedder", ENV_EMBEDDER_ENDPOINT),
+                          ("screener", ENV_SCREENER_ENDPOINT), ("trainer", ENV_TRAINER_ENDPOINT)):
+            if var in os.environ:
+                endpoints[name] = os.environ[var]
+    if ENV_CACHE_ROOT in os.environ:
+        raw["cache_root"] = os.environ[ENV_CACHE_ROOT]
+    return from_json(RunConfig, raw, "config")
 
 
 def run_config_snapshot(cfg: RunConfig) -> dict:

@@ -62,9 +62,6 @@ class Sample:
         }
         return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
-    def content_key(self) -> str:
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()
-
     def with_fields(
         self,
         question: str | None = None,

@@ -61,10 +61,10 @@ def heuristic_verdict(sample: Sample, cfg: OperatorConfig) -> ScreenerVerdict:
 class Screener:
     """Caching screener front-end.
 
-    Verdicts are cached per (sample content, screener identity) because the
-    same sample is screened by both the sampler and every clean/noisy routing
-    pass; with a remote model behind the interface, re-screening would be the
-    dominant cost.
+    Verdicts are cached per (question, answer), the only fields either
+    classifier reads, because the same text is screened by both the sampler
+    and every clean/noisy routing pass, often under several ids; with a remote
+    model behind the interface, re-screening would be the dominant cost.
     """
 
     def __init__(
@@ -76,17 +76,11 @@ class Screener:
         self.cfg = cfg or OperatorConfig()
         self.client = client
         self.timer = timer
-        self._cache: dict[str, ScreenerVerdict] = {}
+        self._cache: dict[tuple[str, str], ScreenerVerdict] = {}
         self.classify_calls = 0
 
-    @property
-    def identity(self) -> str:
-        if self.client is None:
-            return f"heuristic:{self.cfg.digest()}"
-        return f"remote:{getattr(self.client, 'endpoint', type(self.client).__name__)}"
-
     def classify(self, sample: Sample) -> ScreenerVerdict:
-        key = sample.content_key()
+        key = (sample.question, sample.answer)
         cached = self._cache.get(key)
         if cached is not None:
             return cached

@@ -1,12 +1,22 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
 from pipecraft.cache import CacheLock
 from pipecraft.cli import main
-from pipecraft.config import OperatorConfig
+from pipecraft.config import (
+    ENV_AGENT_ENDPOINT,
+    ENV_CACHE_ROOT,
+    ENV_EMBEDDER_ENDPOINT,
+    ENV_SCREENER_ENDPOINT,
+    ENV_TRAINER_ENDPOINT,
+    MinhashConfig,
+    OperatorConfig,
+    load_run_config,
+)
 from pipecraft.corpus import load_dataset, save_dataset
 from pipecraft.operators import ExecutionContext, apply_strategy
 from pipecraft.strategy import parse_strategy
@@ -63,6 +73,22 @@ class TestApply:
             ExecutionContext.with_defaults(OperatorConfig()),
         )
         assert load_dataset(out).fingerprint == expected.fingerprint
+
+    def test_cache_dir_on_file_root_exits_1(self, tmp_path, corpus_path, capsys):
+        root = tmp_path / "not-a-dir"
+        root.write_text("x", encoding="utf-8")
+        assert main(["apply", "--strategy", "Cleaning", "--input", str(corpus_path),
+                     "--output", str(tmp_path / "x"), "--cache-dir", str(root)]) == 1
+        assert "cache error" in capsys.readouterr().err
+
+    def test_cache_dir_while_locked_exits_1(self, tmp_path, corpus_path, capsys):
+        root = tmp_path / "cache"
+        argv = ["apply", "--strategy", "Cleaning", "--input", str(corpus_path),
+                "--output", str(tmp_path / "x"), "--cache-dir", str(root)]
+        with CacheLock(root):
+            assert main(argv) == 1
+        assert "locked" in capsys.readouterr().err
+        assert main(argv) == 0
 
     def test_bad_strategy_is_config_error(self, tmp_path, corpus_path):
         assert main(["apply", "--strategy", "Data Cooking Team",
@@ -137,6 +163,66 @@ class TestRun:
         config = write_config(tmp_path, corpus_path, evaluation={"mode": "trainer"})
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
 
+    @pytest.mark.parametrize("overrides", [
+        {"seed": "x"},
+        {"seed": 3.0},
+        {"seed": True},
+        {"sampling_rate": "abc"},
+        {"evaluation": {"proxy_weights": [float("nan"), 0.3, 0.2, 0.1]}},
+        {"temperature": float("-inf")},
+        {"operators": {"token_range": ["a", 3]}},
+        {"operators": {"token_range": [10]}},
+        {"evaluation": {"proxy_weights": ["a", 1, 1, 1]}},
+        {"endpoints": "x"},
+        {"endpoints": {"agent": 5}},
+        {"operators": [1]},
+        {"operators": None},
+        {"max_group_size": 0},
+        {"sampling_rat": 0.2},
+        {"operators": {"selection_keep": 0.5}},
+        {"operators": {"minhash": {"bands_": 16}}},
+        {"evaluation": {"weights": [0.4, 0.3, 0.2, 0.1]}},
+        {"evaluation": {"trainer": {"epoch": 2}}},
+        {"endpoints": {"agnet": None}},
+    ], ids=json.dumps)
+    def test_malformed_config_is_config_error(self, tmp_path, corpus_path, capsys, overrides):
+        config = write_config(tmp_path, corpus_path, **overrides)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config")
+        assert "Traceback" not in err
+
+    def test_config_snapshot_loads_back(self, tmp_path, corpus_path, capsys):
+        config = write_config(tmp_path, corpus_path, operators={"token_range": [5, 900]},
+                              endpoints={"agent": None})
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+        assert load_run_config(run_dir / "config.json") == load_run_config(config)
+
+    def test_env_overrides_endpoints_and_cache_root(self, tmp_path, corpus_path, monkeypatch):
+        for var in (ENV_EMBEDDER_ENDPOINT, ENV_SCREENER_ENDPOINT, ENV_TRAINER_ENDPOINT):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv(ENV_AGENT_ENDPOINT, "http://agent.env")
+        monkeypatch.setenv(ENV_CACHE_ROOT, "/cache/env")
+        config = write_config(tmp_path, corpus_path, cache_root="/cache/file",
+                              endpoints={"agent": "http://agent.file",
+                                         "embedder": "http://embedder.file"})
+        run_cfg = load_run_config(config)
+        assert run_cfg.endpoints.agent == "http://agent.env"
+        assert run_cfg.endpoints.embedder == "http://embedder.file"
+        assert run_cfg.endpoints.screener is None
+        assert run_cfg.cache_root == "/cache/env"
+        monkeypatch.setenv(ENV_SCREENER_ENDPOINT, "http://screener.env")
+        assert load_run_config(write_config(tmp_path, corpus_path)).endpoints.screener == (
+            "http://screener.env"
+        )
+
+    def test_integer_for_float_keeps_digest(self, tmp_path, corpus_path):
+        config = write_config(tmp_path, corpus_path,
+                              operators={"minhash": {"jaccard_threshold": 1}})
+        expected = OperatorConfig(minhash=MinhashConfig(jaccard_threshold=1.0)).digest()
+        assert load_run_config(config).operators.digest() == expected
+
 
 class TestCacheCommands:
     def _run_once(self, tmp_path, corpus_path):
@@ -169,6 +255,20 @@ class TestCacheCommands:
         assert main(["cache", "stats", "--cache-dir", str(cache_dir)]) == 0
         stats = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert stats["entries"] == 0
+
+    def test_prune_skips_mistyped_meta(self, tmp_path, corpus_path, capsys, caplog):
+        cache_dir = self._run_once(tmp_path, corpus_path)
+        metas = sorted(cache_dir.glob("entries/*/meta.json"))
+        assert len(metas) > 1
+        meta = json.loads(metas[0].read_text(encoding="utf-8"))
+        meta["created_at"] = "yesterday"
+        metas[0].write_text(json.dumps(meta), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+            assert main(["cache", "prune", "--cache-dir", str(cache_dir),
+                         "--max-entries", "1"]) == 0
+        assert "skipping unreadable cache entry" in caplog.text
+        assert "created_at" in caplog.text
+        assert "pruned" in capsys.readouterr().out
 
 
 class TestCacheErrors:
