@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,7 +24,7 @@ from .config import RunConfig
 from .corpus import Dataset
 from .evaluation import EvaluationError, evaluate_strategy
 from .operators import ExecutionContext
-from .sampling import stratified_sample
+from .sampling import EmbeddingError, stratified_sample
 from .strategy import (
     EMPTY_STRATEGY,
     MAX_TEAMS,
@@ -55,7 +56,8 @@ class AgentResponseError(ValueError):
 
 
 class SearchError(RuntimeError):
-    """The search loop could not continue (agent failure after retry)."""
+    """The search loop could not continue: sampling, the baseline evaluation
+    or the agent failed."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,6 @@ class Round:
 class AgentDecision:
     kind: str  # "propose" | "best_team" | "no_processing"
     strategies: tuple[Strategy, ...]
-    rationale_text: str
 
 
 @dataclass(frozen=True)
@@ -171,16 +172,12 @@ def _extract_combinations(text: str) -> list[Strategy]:
 def _first_parseable_line(body: str) -> Strategy | None:
     for line in body.splitlines():
         line = line.strip()
-        if not line or line.startswith("###"):
-            if line.startswith("###"):
-                break
+        if line.startswith("###"):
+            break
+        if not line or line.lower().startswith("feedback score"):
             continue
-        if line.lower().startswith("feedback score"):
-            continue
-        try:
+        with suppress(StrategyParseError):
             return parse_strategy(line)
-        except StrategyParseError:
-            continue
     return None
 
 
@@ -188,7 +185,7 @@ def parse_agent_response(text: str) -> AgentDecision:
     """Classify an agent reply. Terminal markers outrank group extraction, and
     the no-processing marker outranks everything."""
     if NO_PROCESSING_MARKER in text:
-        return AgentDecision(kind="no_processing", strategies=(), rationale_text=text)
+        return AgentDecision(kind="no_processing", strategies=())
     if BEST_TEAM_MARKER in text:
         position = text.index(BEST_TEAM_MARKER)
         after = text[position + len(BEST_TEAM_MARKER) :]
@@ -201,9 +198,7 @@ def parse_agent_response(text: str) -> AgentDecision:
             candidates = before[-1:]
         if not candidates:
             raise AgentResponseError("best-team marker without a parseable combination")
-        return AgentDecision(
-            kind="best_team", strategies=(candidates[0],), rationale_text=text
-        )
+        return AgentDecision(kind="best_team", strategies=(candidates[0],))
     strategies = _extract_combinations(text)
     unique: list[Strategy] = []
     for strategy in strategies:
@@ -213,7 +208,7 @@ def parse_agent_response(text: str) -> AgentDecision:
         unique.append(strategy)
     if not unique:
         raise AgentResponseError("no parseable combinations and no terminal marker")
-    return AgentDecision(kind="propose", strategies=tuple(unique), rationale_text=text)
+    return AgentDecision(kind="propose", strategies=tuple(unique))
 
 
 # ---------------------------------------------------------------------------
@@ -239,48 +234,35 @@ class HillClimbAgent(AgentClient):
             (m["content"] for m in reversed(messages) if m.get("role") == "user"), ""
         )
         limit_match = _GROUP_LIMIT_RE.search(prompt)
-        limit = int(limit_match.group(1)) if limit_match else MAX_TEAMS
-        if "Feedback Score:" not in prompt:
-            singles = [Strategy((team,)) for team in TEAM_ORDER][: max(1, limit)]
-            return self._emit_group(
-                singles, "Starting with single-team combinations to measure individual effects."
-            )
+        limit = max(1, int(limit_match.group(1))) if limit_match else MAX_TEAMS
+        # _parse_feedback keeps only rounds with at least one pair
         rounds = self._parse_feedback(prompt)
-        flat = [pair for round_pairs in rounds for pair in round_pairs]
-        if not flat:
-            singles = [Strategy((team,)) for team in TEAM_ORDER][: max(1, limit)]
-            return self._emit_group(singles, "No readable feedback; restarting exploration.")
+        if not rounds:
+            reason = (
+                "No readable feedback; restarting exploration."
+                if "Feedback Score:" in prompt
+                else "Starting with single-team combinations to measure individual effects."
+            )
+            return self._emit_group([Strategy((team,)) for team in TEAM_ORDER][:limit], reason)
         latest = rounds[-1]
-        if latest and all(abs(score) < self.near_zero for _, score in latest):
+        if all(abs(score) < self.near_zero for _, score in latest):
             return NO_PROCESSING_MARKER
-        best_strategy, _ = self._argmax(flat)
+        flat = [pair for pairs in rounds for pair in pairs]
+        # max keeps the first of equal keys: ties go to the earliest pair
+        best_strategy, _ = max(flat, key=lambda pair: pair[1])
         if len(rounds) >= 2:
             previous_max = max(score for pairs in rounds[:-1] for _, score in pairs)
-            latest_max = max(score for _, score in latest)
-            if latest_max <= previous_max:
+            if max(score for _, score in latest) <= previous_max:
                 return self._emit_best(best_strategy)
-        seen = {strategy.canonical() for strategy, _ in flat}
-        extensions = [
-            best_strategy.extended(team)
-            for team in TEAM_ORDER
-            if team not in best_strategy.teams
-            and len(best_strategy) < MAX_TEAMS
-            and best_strategy.extended(team).canonical() not in seen
-        ][: max(1, limit)]
+        seen = {strategy for strategy, _ in flat}
+        unused = (team for team in TEAM_ORDER if team not in best_strategy.teams)
+        extensions = [s for s in map(best_strategy.extended, unused) if s not in seen][:limit]
         if not extensions:
             return self._emit_best(best_strategy)
         return self._emit_group(
             extensions,
             "Extending the strongest combination observed so far, one team at a time.",
         )
-
-    @staticmethod
-    def _argmax(pairs: list[tuple[Strategy, float]]) -> tuple[Strategy, float]:
-        best_strategy, best_score = pairs[0]
-        for strategy, score in pairs[1:]:
-            if score > best_score:
-                best_strategy, best_score = strategy, score
-        return best_strategy, best_score
 
     @staticmethod
     def _parse_feedback(prompt: str) -> list[list[tuple[Strategy, float]]]:
@@ -335,9 +317,12 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
     if ctx.embedder is None:
         raise SearchError("execution context has no embedding client")
 
-    sampled = stratified_sample(
-        base, run_cfg.sampling_rate, ctx.screener, ctx.embedder, ctx.timer
-    )
+    try:
+        sampled = stratified_sample(
+            base, run_cfg.sampling_rate, ctx.screener, ctx.embedder, ctx.timer
+        )
+    except EmbeddingError as exc:
+        raise SearchError(f"sampling failed: {exc}") from exc
     try:
         baseline = evaluate_strategy(
             EMPTY_STRATEGY, sampled, run_cfg.evaluation, ctx, round_index=0
@@ -349,20 +334,21 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
             {"event": "baseline", "score": baseline, "sampled_fingerprint": sampled.fingerprint}
         )
 
-    scores: dict[str, float] = {EMPTY_STRATEGY.canonical(): baseline}
-    order: list[tuple[Strategy, float]] = [(EMPTY_STRATEGY, 0.0)]
+    # raw score of every evaluated strategy, in evaluation order
+    scores: dict[Strategy, float] = {EMPTY_STRATEGY: baseline}
     history: list[Round] = []
+    messages: list[dict[str, str]] = []
 
     def relative(raw: float) -> float:
         return compute_feedback(raw, baseline) if math.isfinite(raw) else float("-inf")
 
     def evaluate(strategy: Strategy, round_index: int) -> float:
-        key = strategy.canonical()
-        if key in scores:
-            return scores[key]
+        if strategy in scores:
+            return scores[strategy]
         try:
             raw = evaluate_strategy(strategy, sampled, run_cfg.evaluation, ctx, round_index)
         except EvaluationError as exc:
+            key = strategy.canonical()
             logger.warning("evaluation failed for %s: %s", key, exc)
             if ctx.run_log is not None:
                 ctx.run_log.append(
@@ -370,12 +356,19 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
                      "strategy": key, "error": str(exc)}
                 )
             raw = float("-inf")
-        scores[key] = raw
-        order.append((strategy, relative(raw)))
+        scores[strategy] = raw
         return raw
 
-    messages: list[dict[str, str]] = []
-    result_kwargs = dict(baseline_score=baseline, sampled_fingerprint=sampled.fingerprint)
+    def finish(best: Strategy, reason: str, rounds_executed: int) -> SearchResult:
+        return SearchResult(
+            best_strategy=best,
+            best_score=scores[best],
+            baseline_score=baseline,
+            rounds=tuple(history),
+            termination_reason=reason,
+            rounds_executed=rounds_executed,
+            sampled_fingerprint=sampled.fingerprint,
+        )
 
     for round_index in range(1, run_cfg.max_rounds + 1):
         if round_index == 1:
@@ -386,76 +379,41 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
         decision = _ask_agent(ctx.agent, messages, run_cfg)
 
         if decision.kind == "no_processing":
-            return SearchResult(
-                best_strategy=EMPTY_STRATEGY,
-                best_score=baseline,
-                rounds=tuple(history),
-                termination_reason=TERMINATION_NO_PROCESSING,
-                rounds_executed=round_index,
-                **result_kwargs,
-            )
+            return finish(EMPTY_STRATEGY, TERMINATION_NO_PROCESSING, round_index)
         if decision.kind == "best_team":
             best = decision.strategies[0]
-            raw = evaluate(best, round_index)
-            return SearchResult(
-                best_strategy=best,
-                best_score=raw,
-                rounds=tuple(history),
-                termination_reason=TERMINATION_BEST_TEAM,
-                rounds_executed=round_index,
-                **result_kwargs,
-            )
+            evaluate(best, round_index)
+            return finish(best, TERMINATION_BEST_TEAM, round_index)
 
         if len(decision.strategies) > run_cfg.max_group_size:
-            logger.warning(
-                "agent proposed %d combinations; keeping the first %d",
-                len(decision.strategies),
-                run_cfg.max_group_size,
-            )
-        group = list(decision.strategies[: run_cfg.max_group_size])
-        round_scores = [evaluate(strategy, round_index) for strategy in group]
-        round_relatives = [relative(raw) for raw in round_scores]
+            logger.warning("agent proposed %d combinations; keeping the first %d",
+                           len(decision.strategies), run_cfg.max_group_size)
+        group = decision.strategies[: run_cfg.max_group_size]
+        round_scores = tuple(evaluate(strategy, round_index) for strategy in group)
         history.append(
-            Round(round_index, tuple(group), tuple(round_scores), tuple(round_relatives))
+            Round(round_index, group, round_scores, tuple(map(relative, round_scores)))
         )
 
-    # strict argmax over evaluation order: ties go to the earliest evaluation
-    best_strategy, best_relative = order[0]
-    for strategy, rel in order[1:]:
-        if rel > best_relative:
-            best_strategy, best_relative = strategy, rel
-    return SearchResult(
-        best_strategy=best_strategy,
-        best_score=scores[best_strategy.canonical()],
-        rounds=tuple(history),
-        termination_reason=TERMINATION_BUDGET,
-        rounds_executed=run_cfg.max_rounds,
-        **result_kwargs,
-    )
+    # max keeps the first of equal keys: ties go to the earliest evaluation
+    best = max(scores, key=lambda strategy: relative(scores[strategy]))
+    return finish(best, TERMINATION_BUDGET, run_cfg.max_rounds)
 
 
 def _ask_agent(
     agent: AgentClient, messages: list[dict[str, str]], run_cfg: RunConfig
 ) -> AgentDecision:
-    reply = _agent_reply(agent, messages, run_cfg)
-    messages.append({"role": "assistant", "content": reply})
-    try:
-        return parse_agent_response(reply)
-    except AgentResponseError:
-        logger.warning("unparseable agent reply; re-prompting once")
-        messages.append({"role": "user", "content": _REPROMPT_MESSAGE})
-        retry = _agent_reply(agent, messages, run_cfg)
-        messages.append({"role": "assistant", "content": retry})
+    """Ask for the next decision; an unparseable reply is re-prompted once."""
+    for attempt in range(2):
+        if attempt:
+            logger.warning("unparseable agent reply; re-prompting once")
+            messages.append({"role": "user", "content": _REPROMPT_MESSAGE})
         try:
-            return parse_agent_response(retry)
+            reply = agent.complete(messages, run_cfg.temperature, run_cfg.seed)
+        except ClientError as exc:
+            raise SearchError(f"agent client failed: {exc}") from exc
+        messages.append({"role": "assistant", "content": reply})
+        try:
+            return parse_agent_response(reply)
         except AgentResponseError as exc:
-            raise SearchError(f"agent reply unparseable after re-prompt: {exc}") from exc
-
-
-def _agent_reply(
-    agent: AgentClient, messages: list[dict[str, str]], run_cfg: RunConfig
-) -> str:
-    try:
-        return agent.complete(messages, run_cfg.temperature, run_cfg.seed)
-    except ClientError as exc:
-        raise SearchError(f"agent client failed: {exc}") from exc
+            error = exc
+    raise SearchError(f"agent reply unparseable after re-prompt: {error}") from error

@@ -76,16 +76,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     run_dir = Path(args.out)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
-        json.dumps(run_config_snapshot(run_cfg), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
     cache_root = Path(run_cfg.cache_root) if run_cfg.cache_root else run_dir / "cache"
 
     started = time.perf_counter()
     timer = PhaseTimer()
     try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "config.json").write_text(
+            json.dumps(run_config_snapshot(run_cfg), sort_keys=True, indent=2) + "\n",
+            encoding="utf-8",
+        )
         base = load_dataset(dataset_path)
         with CacheLock(cache_root):
             cache = StrategyCache(cache_root, run_cfg.operators.digest(), run_cfg.seed)
@@ -103,19 +103,18 @@ def cmd_run(args: argparse.Namespace) -> int:
                 final_dataset_fingerprint=final.fingerprint,
             )
             write_report(report, run_dir)
-    except (DatasetError, CacheError, SearchError) as exc:
+        timings = {
+            "phases": {name: round(value, 6) for name, value in timer.snapshot().items()},
+            "total": round(time.perf_counter() - started, 6),
+        }
+        (run_dir / "timings.json").write_text(
+            json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
+    except (OSError, DatasetError, CacheError, SearchError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
         text_profile.cache_clear()
-
-    timings = {
-        "phases": {name: round(value, 6) for name, value in timer.snapshot().items()},
-        "total": round(time.perf_counter() - started, 6),
-    }
-    (run_dir / "timings.json").write_text(
-        json.dumps(timings, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
     print(format_report_text(report))
     return EXIT_OK
 
@@ -146,10 +145,13 @@ def cmd_apply(args: argparse.Namespace) -> int:
                 processed = cache.apply_with_reuse(strategy, dataset, ctx)
         else:
             processed = apply_strategy(strategy, dataset, build_context(run_cfg))
+        save_dataset(processed, args.output)
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    save_dataset(processed, args.output)
+    except OSError as exc:
+        print(f"apply failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(
         f"applied {strategy.canonical()}: {len(dataset)} -> {len(processed)} samples"
     )
@@ -165,7 +167,11 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     ctx = build_context(run_cfg)
     sampled = stratified_sample(dataset, args.rate, ctx.screener, ctx.embedder)
-    save_dataset(sampled, args.output)
+    try:
+        save_dataset(sampled, args.output)
+    except OSError as exc:
+        print(f"sample failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"sampled {len(sampled)} of {len(dataset)} samples")
     return EXIT_OK
 
@@ -194,12 +200,12 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    try:
-        report = load_report(args.run_dir)
-    except OSError as exc:
-        print(f"config error: cannot read report: {exc}", file=sys.stderr)
+    try:  # a torn or foreign report.json fails to decode or to render
+        text = format_report_text(load_report(args.run_dir))
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        print(f"config error: cannot read report: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    print(format_report_text(report))
+    print(text)
     return EXIT_OK
 
 

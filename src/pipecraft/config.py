@@ -135,6 +135,8 @@ class RunConfig:
             raise ConfigError("initial_group_size must be >= 1")
         if self.max_group_size < 1:
             raise ConfigError("max_group_size must be >= 1")
+        if self.initial_group_size > self.max_group_size:
+            raise ConfigError("initial_group_size must be <= max_group_size")
         if self.max_rounds < 1:
             raise ConfigError("max_rounds must be >= 1")
 

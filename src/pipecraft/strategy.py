@@ -150,8 +150,6 @@ def parse_strategy(text: str) -> Strategy:
         teams.append(team)
     if not teams:
         raise StrategyParseError(f"no team names found in {text!r}")
-    if len(teams) > MAX_TEAMS:
-        raise TooManyTeamsError(f"more than {MAX_TEAMS} teams in {text!r}")
     return Strategy(tuple(teams))
 
 

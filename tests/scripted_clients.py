@@ -33,13 +33,16 @@ class ScriptedModelClient(ModelClient):
 
 
 class ScriptedAgent(AgentClient):
-    """Agent replaying a fixed sequence of responses."""
+    """Agent replaying a fixed sequence of responses; ``messages`` keeps a
+    copy of the conversation each call received."""
 
     def __init__(self, responses: Sequence[str]) -> None:
         self._responses = list(responses)
         self.calls = 0
+        self.messages: list[list[dict[str, str]]] = []
 
     def complete(self, messages: list[dict[str, str]], temperature: float, seed: int) -> str:
+        self.messages.append([dict(message) for message in messages])
         if self.calls >= len(self._responses):
             raise ClientError("scripted agent ran out of responses")
         response = self._responses[self.calls]

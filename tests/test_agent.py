@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import logging
 import math
 import random
 
 import pytest
 
 from pipecraft.agent import (
+    _REPROMPT_MESSAGE,
     BEST_TEAM_MARKER,
     NO_PROCESSING_MARKER,
     AgentResponseError,
@@ -19,7 +21,7 @@ from pipecraft.agent import (
     run_search,
 )
 from pipecraft.cache import StrategyCache
-from pipecraft.clients import TrainerClient
+from pipecraft.clients import ClientError, EmbeddingClient, TrainerClient
 from pipecraft.config import EvalConfig, OperatorConfig, RunConfig, TrainerConfig
 from pipecraft.corpus import Dataset
 from pipecraft.evaluation import RunLog
@@ -157,6 +159,15 @@ class TestParseAgentResponse:
         decision = parse_agent_response(text)
         assert [s.canonical() for s in decision.strategies] == ["Selection"]
 
+    def test_block_ends_at_the_next_heading(self):
+        text = (
+            "###Combination[1]###\nData Selection Team\n\n"
+            "###Combination[2]###\nData Cooking Team\n\n"
+            "###Reasons for Different Combinations###\nData Cleaning Team\n"
+        )
+        decision = parse_agent_response(text)
+        assert [s.canonical() for s in decision.strategies] == ["Selection"]
+
 
 class TestHillClimbAgent:
     def test_initial_round_proposes_singletons(self):
@@ -200,6 +211,40 @@ class TestHillClimbAgent:
         )
         assert decision.kind == "propose"
         assert [s.teams for s in decision.strategies] == [(C, O), (C, G), (C, S)]
+
+    @staticmethod
+    def reply_to(history: list[Round]) -> str:
+        prompt = build_iteration_prompt(history, len(history) + 1)
+        return HillClimbAgent().complete([{"role": "user", "content": prompt}], 0.6, 0)
+
+    def test_tied_best_extends_the_earliest(self):
+        history = [Round(1, (Strategy((S,)), Strategy((C,))), (0.6, 0.6), (0.1, 0.1))]
+        decision = parse_agent_response(self.reply_to(history))
+        assert [s.teams for s in decision.strategies] == [(S, C), (S, O), (S, G)]
+
+    def test_evaluated_extensions_not_proposed_again(self):
+        history = [Round(1, (Strategy((C,)), Strategy((C, O))), (0.6, 0.5), (0.1, 0.0))]
+        decision = parse_agent_response(self.reply_to(history))
+        assert [s.teams for s in decision.strategies] == [(C, G), (C, S)]
+
+    def test_full_strategy_is_declared_best(self):
+        full = Strategy((C, O, G, S))
+        history = [Round(1, (full, Strategy((C,))), (0.7, 0.6), (0.2, 0.1))]
+        decision = parse_agent_response(self.reply_to(history))
+        assert decision.kind == "best_team"
+        assert decision.strategies == (full,)
+
+    @pytest.mark.parametrize("prompt, reason", [
+        ("Propose no more than 2 combinations.",
+         "Starting with single-team combinations to measure individual effects."),
+        ("Round 1 results:\n\n1. ###Combination[1]###\nData Cooking Team\n"
+         "Feedback Score: +0.1000\n\nPropose no more than 2 combinations.",
+         "No readable feedback; restarting exploration."),
+    ], ids=["no-feedback", "unreadable-feedback"])
+    def test_singles_when_no_feedback_is_read(self, prompt, reason):
+        reply = HillClimbAgent().complete([{"role": "user", "content": prompt}], 0.6, 0)
+        assert reply.endswith("###Reasons for Different Combinations###\n" + reason)
+        assert [s.teams for s in parse_agent_response(reply).strategies] == [(C,), (O,)]
 
 
 class FingerprintTrainer(TrainerClient):
@@ -425,3 +470,73 @@ class TestRunSearchEvaluatorFailureMidRound:
         assert first_round.relative_scores[0] == float("-inf")
         assert first_round.scores[1] == 0.6
         assert any(r["event"] == "evaluation-error" for r in log.records)
+
+
+class TestSearchLoop:
+    def test_best_team_never_evaluated_is_scored_once(self, tmp_path):
+        corpus = messy_test_corpus(10)
+        selection = Strategy((S,))
+        table = {
+            fingerprint_of(EMPTY_STRATEGY, corpus): 0.50,
+            fingerprint_of(Strategy((C,)), corpus): 0.60,
+            fingerprint_of(selection, corpus): 0.55,
+        }
+        assert len(table) == 3  # premise: the three datasets differ
+        agent = ScriptedAgent([
+            "###Combination[1]###\nCleaning\n",
+            f"{BEST_TEAM_MARKER}\n###Combination[1]###\nSelection\n",
+        ])
+        log = RunLog()
+        ctx = make_search_ctx(tmp_path, agent, trainer=FingerprintTrainer(table), run_log=log)
+        result = run_search(corpus, trainer_run_cfg(), ctx)
+        events = [r for r in log.records
+                  if r["event"] == "evaluation" and r["strategy"] == "Selection"]
+        assert [r["round"] for r in events] == [2]
+        assert result.best_strategy == selection
+        assert result.best_score == events[0]["score"] == 0.55
+        assert result.termination_reason == "best-team"
+        assert result.rounds_executed == 2
+        assert [round_.strategies for round_ in result.rounds] == [(Strategy((C,)),)]
+
+    def test_reprompt_conversation(self, tmp_path, caplog):
+        agent = ScriptedAgent(["gibberish", NO_PROCESSING_MARKER])
+        ctx = make_search_ctx(tmp_path, agent)
+        run_cfg = RunConfig(sampling_rate=1.0)
+        with caplog.at_level(logging.WARNING, logger="pipecraft.agent"):
+            run_search(messy_test_corpus(7), run_cfg, ctx)
+        prompt = {"role": "user", "content": build_initial_prompt(run_cfg.initial_group_size)}
+        assert agent.messages == [
+            [prompt],
+            [prompt, {"role": "assistant", "content": "gibberish"},
+             {"role": "user", "content": _REPROMPT_MESSAGE}],
+        ]
+        assert caplog.text.count("re-prompting once") == 1
+
+    def test_second_unparseable_reply_aborts(self, tmp_path, caplog):
+        agent = ScriptedAgent(["gibberish", "more gibberish"])
+        ctx = make_search_ctx(tmp_path, agent)
+        with caplog.at_level(logging.WARNING, logger="pipecraft.agent"):
+            with pytest.raises(SearchError, match="^agent reply unparseable after re-prompt: "):
+                run_search(messy_test_corpus(7), RunConfig(sampling_rate=1.0), ctx)
+        assert caplog.text.count("re-prompting once") == 1
+
+    @pytest.mark.parametrize("responses", [[], ["gibberish"]], ids=["first", "retry"])
+    def test_agent_client_error_is_not_reprompted(self, tmp_path, responses):
+        agent = ScriptedAgent(responses)
+        ctx = make_search_ctx(tmp_path, agent)
+        with pytest.raises(SearchError, match="^agent client failed: scripted agent ran out"):
+            run_search(messy_test_corpus(7), RunConfig(sampling_rate=1.0), ctx)
+        assert len(agent.messages) == len(responses) + 1
+
+    def test_sampling_failure_is_search_error(self, tmp_path):
+        class FailingEmbedder(EmbeddingClient):
+            dimension = 8
+
+            def embed(self, text):
+                raise ClientError("embedder unreachable")
+
+        ctx = ExecutionContext.with_defaults(
+            OperatorConfig(), agent=HillClimbAgent(), embedder=FailingEmbedder()
+        )
+        with pytest.raises(SearchError, match="^sampling failed: .*embedder unreachable"):
+            run_search(messy_test_corpus(0), RunConfig(sampling_rate=0.5), ctx)

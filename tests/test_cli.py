@@ -5,6 +5,7 @@ import logging
 
 import pytest
 
+from pipecraft import clients
 from pipecraft.cache import CacheLock
 from pipecraft.cli import main
 from pipecraft.config import (
@@ -184,6 +185,7 @@ class TestRun:
         {"evaluation": {"weights": [0.4, 0.3, 0.2, 0.1]}},
         {"evaluation": {"trainer": {"epoch": 2}}},
         {"endpoints": {"agnet": None}},
+        {"initial_group_size": 9, "max_group_size": 2},
     ], ids=json.dumps)
     def test_malformed_config_is_config_error(self, tmp_path, corpus_path, capsys, overrides):
         config = write_config(tmp_path, corpus_path, **overrides)
@@ -222,6 +224,47 @@ class TestRun:
                               operators={"minhash": {"jaccard_threshold": 1}})
         expected = OperatorConfig(minhash=MinhashConfig(jaccard_threshold=1.0)).digest()
         assert load_run_config(config).operators.digest() == expected
+
+
+class TestOutputErrors:
+    """An output under a regular file cannot be written: exit 1, one line."""
+
+    @staticmethod
+    def blocked(tmp_path):
+        (tmp_path / "file").write_text("x", encoding="utf-8")
+        return str(tmp_path / "file" / "x")
+
+    def assert_one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert len(err.splitlines()) == 1
+
+    def test_run_out_under_file(self, tmp_path, corpus_path, capsys):
+        config = write_config(tmp_path, corpus_path)
+        assert main(["run", "--config", str(config), "--out", self.blocked(tmp_path)]) == 1
+        self.assert_one_line(capsys, "run failed: ")
+
+    def test_apply_output_under_file(self, tmp_path, corpus_path, capsys):
+        assert main(["apply", "--strategy", "Cleaning", "--input", str(corpus_path),
+                     "--output", self.blocked(tmp_path)]) == 1
+        self.assert_one_line(capsys, "apply failed: ")
+
+    def test_sample_output_under_file(self, tmp_path, corpus_path, capsys):
+        assert main(["sample", "--input", str(corpus_path),
+                     "--output", self.blocked(tmp_path)]) == 1
+        self.assert_one_line(capsys, "sample failed: ")
+
+    def test_run_embedder_failure(self, tmp_path, corpus_path, capsys, monkeypatch):
+        monkeypatch.delenv(ENV_EMBEDDER_ENDPOINT, raising=False)
+
+        def unreachable(endpoint, payload, timeout=0.0):
+            raise OSError("connection refused")
+
+        monkeypatch.setattr(clients, "post_json", unreachable)
+        config = write_config(tmp_path, corpus_path,
+                              endpoints={"embedder": "http://embedder.test/embed"})
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        self.assert_one_line(capsys, "run failed: sampling failed: ")
 
 
 class TestCacheCommands:
@@ -306,3 +349,11 @@ class TestReportCommand:
 
     def test_missing_run_dir(self, tmp_path):
         assert main(["report", "--run-dir", str(tmp_path / "ghost")]) == 2
+
+    @pytest.mark.parametrize("body", ["{not json", "[]", "{}", '{"seed": 1}', "\xff"])
+    def test_unrenderable_report_is_config_error(self, tmp_path, capsys, body):
+        (tmp_path / "report.json").write_bytes(body.encode("latin-1"))
+        assert main(["report", "--run-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read report")
+        assert len(err.splitlines()) == 1
