@@ -17,12 +17,12 @@ from pathlib import Path
 from .agent import HillClimbAgent, SearchError, run_search
 from .cache import CacheError, CacheLock, StrategyCache
 from .clients import HttpAgentClient, HttpEmbeddingClient, HttpScreenerClient, HttpTrainerClient
-from .config import ConfigError, RunConfig, load_run_config, run_config_snapshot
+from .config import ConfigError, RunConfig, load_run_config, run_config_from, run_config_snapshot
 from .corpus import DatasetError, load_dataset, save_dataset
 from .evaluation import RunLog
 from .operators import ExecutionContext, apply_strategy
 from .report import build_report, format_report_text, load_report, write_report
-from .sampling import stratified_sample
+from .sampling import EmbeddingError, stratified_sample
 from .screener import Screener
 from .strategy import StrategyParseError, enumerate_space, parse_strategy
 from .textstats import text_profile
@@ -132,11 +132,11 @@ def cmd_apply(args: argparse.Namespace) -> int:
         print(f"config error: bad strategy: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
+        run_cfg = run_config_from({"seed": args.seed})
         dataset = load_dataset(args.input)
-    except DatasetError as exc:
+    except (ConfigError, DatasetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    run_cfg = RunConfig(seed=args.seed)
     try:
         if args.cache_dir:
             with CacheLock(args.cache_dir):
@@ -160,16 +160,16 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
 def cmd_sample(args: argparse.Namespace) -> int:
     try:
-        run_cfg = RunConfig(seed=args.seed, sampling_rate=args.rate)
+        run_cfg = run_config_from({"seed": args.seed, "sampling_rate": args.rate})
         dataset = load_dataset(args.input)
     except (ConfigError, DatasetError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     ctx = build_context(run_cfg)
-    sampled = stratified_sample(dataset, args.rate, ctx.screener, ctx.embedder)
     try:
+        sampled = stratified_sample(dataset, run_cfg.sampling_rate, ctx.screener, ctx.embedder)
         save_dataset(sampled, args.output)
-    except OSError as exc:
+    except (EmbeddingError, OSError) as exc:
         print(f"sample failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(f"sampled {len(sampled)} of {len(dataset)} samples")

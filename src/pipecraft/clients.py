@@ -21,6 +21,8 @@ from .config import OperatorConfig
 from .textstats import clean_text, is_allowed_char, text_profile, violations
 
 DEFAULT_TIMEOUT_S = 60.0
+# distinct trigrams one HashingEmbedder remembers: a few MB at most
+TRIGRAM_MEMO_CAP = 1 << 16
 
 
 class ClientError(RuntimeError):
@@ -168,24 +170,34 @@ class HashingEmbedder(EmbeddingClient):
     """Deterministic feature-hash embedder over character trigrams.
 
     A constant bias component keeps every vector, including the one for empty
-    text, away from zero norm.
+    text, away from zero norm. Each instance remembers the bucket of up to
+    ``TRIGRAM_MEMO_CAP`` distinct trigrams, so a trigram is hashed once; past
+    the cap further trigrams are hashed on every use and not stored. The memo
+    holds a pure function of the trigram, so it never changes a vector.
     """
 
     def __init__(self, dimension: int = 64) -> None:
         if dimension < 2:
             raise ValueError("dimension must be >= 2")
         self.dimension = dimension
+        self._buckets: dict[str, int] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=np.float64)
+        buckets, modulus = self._buckets, self.dimension - 1
         padded = f"^{text}$"
+        indices = []
         for i in range(len(padded) - 2):
-            gram = padded[i : i + 3].encode("utf-8")
-            bucket = int.from_bytes(
-                hashlib.blake2b(gram, digest_size=4).digest(), "big"
-            ) % (self.dimension - 1)
-            vec[bucket] += 1.0
-        vec[self.dimension - 1] = 1.0
+            gram = padded[i : i + 3]
+            bucket = buckets.get(gram)
+            if bucket is None:
+                digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest()
+                bucket = int.from_bytes(digest, "big") % modulus
+                if len(buckets) < TRIGRAM_MEMO_CAP:
+                    buckets[gram] = bucket
+            indices.append(bucket)
+        vec = np.bincount(np.asarray(indices, dtype=np.intp), minlength=self.dimension)
+        vec = vec.astype(np.float64)  # integer counts, exact in float64
+        vec[modulus] = 1.0
         return vec
 
 

@@ -178,8 +178,25 @@ def from_json(kind, value, where: str):
     raise ConfigError(f"{where} must be {kind.__name__}, got {json.dumps(value)}")
 
 
+def run_config_from(raw: dict) -> RunConfig:
+    """Build a ``RunConfig`` from decoded JSON with the endpoint and
+    cache-root environment variables laid over it; they take precedence.
+    Every subcommand builds its run config here."""
+    raw = dict(raw)
+    endpoints = raw.get("endpoints", {})
+    if isinstance(endpoints, dict):  # from_json reports any other value
+        endpoints = raw["endpoints"] = dict(endpoints)
+        for name, var in (("agent", ENV_AGENT_ENDPOINT), ("embedder", ENV_EMBEDDER_ENDPOINT),
+                          ("screener", ENV_SCREENER_ENDPOINT), ("trainer", ENV_TRAINER_ENDPOINT)):
+            if var in os.environ:
+                endpoints[name] = os.environ[var]
+    if ENV_CACHE_ROOT in os.environ:
+        raw["cache_root"] = os.environ[ENV_CACHE_ROOT]
+    return from_json(RunConfig, raw, "config")
+
+
 def load_run_config(path: str | Path) -> RunConfig:
-    """Read a JSON run config; endpoint and cache-root env vars take precedence."""
+    """Read a JSON run config through :func:`run_config_from`."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -189,15 +206,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    endpoints = raw.setdefault("endpoints", {})
-    if isinstance(endpoints, dict):  # from_json reports any other value
-        for name, var in (("agent", ENV_AGENT_ENDPOINT), ("embedder", ENV_EMBEDDER_ENDPOINT),
-                          ("screener", ENV_SCREENER_ENDPOINT), ("trainer", ENV_TRAINER_ENDPOINT)):
-            if var in os.environ:
-                endpoints[name] = os.environ[var]
-    if ENV_CACHE_ROOT in os.environ:
-        raw["cache_root"] = os.environ[ENV_CACHE_ROOT]
-    return from_json(RunConfig, raw, "config")
+    return run_config_from(raw)
 
 
 def run_config_snapshot(cfg: RunConfig) -> dict:

@@ -9,6 +9,10 @@ abort a long search.
 
 Optimization and Generation route only screener-noisy samples through the
 model; screener-clean samples pass through byte-identical.
+
+MinHash dedup signs each distinct shingle text once and hashes each distinct
+shingle once per pass; identical texts share a signature and are always
+duplicates of each other. Neither reuse changes a signature or a pair.
 """
 from __future__ import annotations
 
@@ -50,6 +54,7 @@ _PERMUTATION_SEED = 0x5EED_CAFE
 _EMPTY_SENTINEL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
 
 
 def sample_shingle_text(sample: Sample) -> str:
@@ -71,11 +76,16 @@ def shingle_set(text: str, shingle_size: int) -> frozenset[str]:
     return frozenset(text[i : i + shingle_size] for i in range(len(text) - shingle_size + 1))
 
 
-def _shingle_hashes(shingles: frozenset[str]) -> np.ndarray:
-    values = [
-        int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
-        for s in shingles
-    ]
+def _shingle_hashes(shingles: frozenset[str], memo: dict[str, int]) -> np.ndarray:
+    """64-bit ``blake2b`` value of each shingle; ``memo`` keeps each value so
+    a shingle shared by several texts is hashed once."""
+    values = []
+    for shingle in shingles:
+        value = memo.get(shingle)
+        if value is None:
+            digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest()
+            value = memo[shingle] = int.from_bytes(digest, "big")
+        values.append(value)
     return np.asarray(values, dtype=np.uint64)
 
 
@@ -86,53 +96,78 @@ def _permutation_seeds(num: int) -> np.ndarray:
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
-    # splitmix64 finalizer; uint64 arithmetic wraps mod 2**64 by design
-    values = (values ^ (values >> np.uint64(30))) * _MIX_1
-    values = (values ^ (values >> np.uint64(27))) * _MIX_2
-    return values ^ (values >> np.uint64(31))
+    """splitmix64 finalizer, in place; uint64 arithmetic wraps mod 2**64 by
+    design, the same in place as out of it."""
+    shifted = np.empty_like(values)
+    for shift, multiplier in ((_SHIFT_1, _MIX_1), (_SHIFT_2, _MIX_2)):
+        np.right_shift(values, shift, out=shifted)
+        values ^= shifted
+        values *= multiplier
+    np.right_shift(values, _SHIFT_3, out=shifted)
+    values ^= shifted
+    return values
 
 
-def minhash_signature(shingles: frozenset[str], cfg: MinhashConfig) -> np.ndarray:
+def minhash_signature(
+    shingles: frozenset[str], cfg: MinhashConfig, memo: dict[str, int]
+) -> np.ndarray:
     """MinHash signature: per permutation, the minimum of a seeded 64-bit mix
     of the shingle hashes. The empty shingle set gets a sentinel signature so
-    two empty texts still hash identically."""
+    two empty texts still hash identically. ``memo`` maps shingles to their
+    hashes; the signatures of one dedup pass share it."""
     if not shingles:
         return np.full(cfg.num_permutations, _EMPTY_SENTINEL, dtype=np.uint64)
-    hashes = _shingle_hashes(shingles)
+    hashes = _shingle_hashes(shingles, memo)
     seeds = _permutation_seeds(cfg.num_permutations)
-    mixed = _mix64(hashes[:, None] ^ seeds[None, :])
-    return mixed.min(axis=0)
+    return _mix64(hashes[:, None] ^ seeds[None, :]).min(axis=0)
 
 
 def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
 
+def _signed_groups(
+    dataset: Dataset, mcfg: MinhashConfig
+) -> tuple[list[list[int]], list[np.ndarray]]:
+    """Sample indices grouped by shingle text, in order of first appearance,
+    and one signature per group. The texts and the shingle memo are freed on
+    return, before banding."""
+    groups: dict[str, list[int]] = defaultdict(list)
+    for idx, sample in enumerate(dataset):
+        groups[sample_shingle_text(sample)].append(idx)
+    memo: dict[str, int] = {}
+    signatures = [
+        minhash_signature(shingle_set(text, mcfg.shingle_size), mcfg, memo) for text in groups
+    ]
+    return list(groups.values()), signatures
+
+
 def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int]]:
     """Index pairs (i < j) judged near-duplicates: LSH band collision followed
-    by a signature-estimated Jaccard check against the threshold."""
+    by a signature-estimated Jaccard check against the threshold.
+
+    Samples with the same shingle text share one signature, computed once.
+    Such samples collide in every band with estimated Jaccard 1, so every
+    pair within a group passes (the threshold is at most 1); only the
+    distinct texts are banded, one band at a time, and checked against each
+    other.
+    """
     mcfg = cfg.minhash
-    signatures = [
-        minhash_signature(shingle_set(sample_shingle_text(s), mcfg.shingle_size), mcfg)
-        for s in dataset
-    ]
-    buckets: dict[tuple[int, bytes], list[int]] = defaultdict(list)
-    for idx, sig in enumerate(signatures):
-        for band in range(mcfg.bands):
-            chunk = sig[band * mcfg.rows_per_band : (band + 1) * mcfg.rows_per_band]
-            buckets[(band, chunk.tobytes())].append(idx)
+    members, signatures = _signed_groups(dataset, mcfg)
+    pairs = {(i, j) for group in members for pos, i in enumerate(group) for j in group[pos + 1 :]}
     candidates: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        if len(members) < 2:
-            continue
-        for pos, i in enumerate(members):
-            for j in members[pos + 1 :]:
-                candidates.add((min(i, j), max(i, j)))
-    return {
-        (i, j)
-        for i, j in candidates
-        if estimated_jaccard(signatures[i], signatures[j]) >= mcfg.jaccard_threshold
-    }
+    for band in range(mcfg.bands):
+        rows = slice(band * mcfg.rows_per_band, (band + 1) * mcfg.rows_per_band)
+        buckets: dict[bytes, list[int]] = defaultdict(list)
+        for gid, sig in enumerate(signatures):
+            buckets[sig[rows].tobytes()].append(gid)
+        for gids in buckets.values():
+            for pos, g in enumerate(gids):
+                candidates.update((g, h) for h in gids[pos + 1 :])
+    for g, h in candidates:
+        if estimated_jaccard(signatures[g], signatures[h]) >= mcfg.jaccard_threshold:
+            pairs.update((min(i, j), max(i, j)) for i in members[g] for j in members[h])
+    return pairs
 
 
 class _UnionFind:

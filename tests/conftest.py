@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,20 @@ from pipecraft.corpus import Dataset, Sample
 @pytest.fixture
 def cfg() -> OperatorConfig:
     return OperatorConfig()
+
+
+@pytest.fixture(scope="session")
+def bench_corpora() -> dict[str, Dataset]:
+    """Both benchmark workloads at their benchmark sizes, built by
+    ``bench/corpora.py``. The bench directory is appended to ``sys.path``, not
+    prepended, so that ``tests`` keeps resolving to this directory."""
+    bench_dir = str(Path(__file__).resolve().parent.parent / "bench")
+    if bench_dir not in sys.path:
+        sys.path.append(bench_dir)
+    import corpora
+
+    return {"replicated-2k": corpora.replicated(44, 2000),
+            "distinct-3k": corpora.distinct(44, 3000)}
 
 
 def make_words(rng: random.Random, n: int) -> str:
@@ -33,3 +49,37 @@ def clean_sample(sample_id: str, rng: random.Random, q_words: int = 20, a_words:
 def clean_corpus(n: int, seed: int = 0) -> Dataset:
     rng = random.Random(seed)
     return Dataset.from_samples(clean_sample(f"s{i:03d}", rng) for i in range(n))
+
+
+def random_unicode(rng: random.Random, max_len: int) -> str:
+    """Seeded text of 0 to ``max_len`` code points: ASCII, markup, accents,
+    CJK and astral characters, plus an occasional code point drawn from the
+    whole Unicode range outside the surrogates."""
+    pools = ("abc de", "<b>&amp;", "\u00e9\u00fc\u00a0", "\u4e2d\u6587\u5b57",
+             "\U0001F600\U00010348\U0002F800")
+    chars = []
+    for _ in range(rng.randint(0, max_len)):
+        if rng.random() < 0.1:
+            chars.append(chr(rng.choice((rng.randint(0x20, 0xD7FF),
+                                         rng.randint(0xE000, 0x10FFFF)))))
+        else:
+            chars.append(rng.choice(rng.choice(pools)))
+    return "".join(chars)
+
+
+def copies_corpus(n: int = 240, seed: int = 0) -> Dataset:
+    """Many exact copies of twelve base samples mixed with near-copies (one
+    answer word replaced), in shuffled order."""
+    rng = random.Random(seed)
+    base = list(clean_corpus(12, seed=seed + 100))
+    samples = []
+    for i in range(n):
+        original = rng.choice(base)
+        answer = original.answer
+        if rng.random() < 0.4:
+            words = answer.split()
+            words[rng.randrange(len(words))] = make_words(rng, 1)
+            answer = " ".join(words)
+        samples.append(Sample(id=f"c{i:04d}", question=original.question, answer=answer))
+    rng.shuffle(samples)
+    return Dataset.from_samples(samples)

@@ -267,6 +267,39 @@ class TestOutputErrors:
         self.assert_one_line(capsys, "run failed: sampling failed: ")
 
 
+class TestEnvironmentEndpoints:
+    """``apply`` and ``sample`` read the endpoint variables, as ``run`` does.
+    Every HTTP call is refused here without touching the network."""
+
+    @pytest.fixture(autouse=True)
+    def refused(self, monkeypatch):
+        for var in (ENV_AGENT_ENDPOINT, ENV_EMBEDDER_ENDPOINT, ENV_SCREENER_ENDPOINT,
+                    ENV_TRAINER_ENDPOINT, ENV_CACHE_ROOT):
+            monkeypatch.delenv(var, raising=False)
+
+        def refuse(endpoint, payload, timeout=0.0):
+            raise OSError(f"connection refused: {endpoint}")
+
+        monkeypatch.setattr(clients, "post_json", refuse)
+
+    def test_sample_uses_embedder_variable(self, tmp_path, corpus_path, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_EMBEDDER_ENDPOINT, "http://embedder.env/embed")
+        out = tmp_path / "subset.jsonl"
+        assert main(["sample", "--input", str(corpus_path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sample failed: ") and "http://embedder.env/embed" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_apply_uses_screener_variable(self, tmp_path, corpus_path, caplog, monkeypatch):
+        monkeypatch.setenv(ENV_SCREENER_ENDPOINT, "http://screener.env/classify")
+        with caplog.at_level(logging.WARNING, logger="pipecraft.screener"):
+            assert main(["apply", "--strategy", "Optimization", "--input", str(corpus_path),
+                         "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert "remote screener failed" in caplog.text
+        assert "http://screener.env/classify" in caplog.text
+
+
 class TestCacheCommands:
     def _run_once(self, tmp_path, corpus_path):
         config = write_config(tmp_path, corpus_path)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -17,6 +20,8 @@ from pipecraft.clients import (
     TemplateGenerator,
     normalize_text,
 )
+from pipecraft.synthetic import messy_corpus
+from tests.conftest import copies_corpus, random_unicode
 from tests.scripted_clients import ConstantScorer, ScriptedModelClient
 
 
@@ -129,6 +134,67 @@ class TestHashingEmbedder:
         second = HashingEmbedder(dimension=16).embed_many(texts)
         assert np.array_equal(first, second)
         assert first.shape == (3, 16)
+
+
+def reference_embed(text: str, dimension: int = 64) -> np.ndarray:
+    """``HashingEmbedder.embed`` as it was before trigram buckets were kept:
+    one blake2b call per trigram, counts added one at a time."""
+    vec = np.zeros(dimension, dtype=np.float64)
+    padded = f"^{text}$"
+    for i in range(len(padded) - 2):
+        gram = padded[i : i + 3].encode("utf-8")
+        bucket = int.from_bytes(hashlib.blake2b(gram, digest_size=4).digest(), "big") % (
+            dimension - 1
+        )
+        vec[bucket] += 1.0
+    vec[dimension - 1] = 1.0
+    return vec
+
+
+def assert_embeds_like_reference(embedder: HashingEmbedder, texts) -> None:
+    for text in texts:
+        vector = embedder.embed(text)
+        assert vector.dtype == np.float64
+        assert np.array_equal(vector, reference_embed(text, embedder.dimension)), text
+
+
+class TestHashingEmbedderExactness:
+    """Remembered trigram buckets and bincount change no vector: each equals
+    the reference loop exactly."""
+
+    @pytest.mark.parametrize("dimension", [2, 16, 64])
+    def test_random_unicode(self, dimension):
+        rng = random.Random(dimension)
+        texts = ["", "a", "ab", "\U0001F600"] + [random_unicode(rng, 60) for _ in range(300)]
+        assert_embeds_like_reference(HashingEmbedder(dimension), texts * 2)
+
+    def test_messy_and_copies_corpora(self):
+        texts = [s.combined_text for seed in range(3) for s in messy_corpus(seed)]
+        texts += [s.combined_text for s in copies_corpus()]
+        assert_embeds_like_reference(HashingEmbedder(), texts)
+
+    @pytest.mark.parametrize("workload", ["replicated-2k", "distinct-3k"])
+    def test_bench_corpora(self, bench_corpora, workload):
+        texts = [s.combined_text for s in bench_corpora[workload]]
+        assert_embeds_like_reference(HashingEmbedder(), texts)
+
+    def test_memo_stops_at_cap(self, monkeypatch):
+        monkeypatch.setattr(clients, "TRIGRAM_MEMO_CAP", 50)
+        rng = random.Random(5)
+        texts = [random_unicode(rng, 40) for _ in range(60)]
+        trigrams = {f"^{t}$"[i : i + 3] for t in texts for i in range(len(t))}
+        assert len(trigrams) > 50  # premise
+        embedder = HashingEmbedder(dimension=16)
+        assert_embeds_like_reference(embedder, texts * 2)
+        assert len(embedder._buckets) == 50
+        for gram, bucket in embedder._buckets.items():
+            assert bucket == int.from_bytes(
+                hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest(), "big") % 15
+
+    def test_memo_is_per_instance(self):
+        first, second = HashingEmbedder(), HashingEmbedder()
+        first.embed("some text")
+        assert first._buckets and not second._buckets
 
 
 class TestWireContracts:

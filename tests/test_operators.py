@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
-from pipecraft.config import OperatorConfig
+from pipecraft import operators
+from pipecraft.config import MinhashConfig, OperatorConfig
 from pipecraft.corpus import Dataset, Sample
 from pipecraft.operators import (
     ExecutionContext,
@@ -15,6 +19,7 @@ from pipecraft.operators import (
     duplicate_pairs,
     generate_missing,
     minhash_dedup,
+    minhash_signature,
     optimize_sample,
     sample_shingle_text,
     select_high_quality,
@@ -22,7 +27,8 @@ from pipecraft.operators import (
     strip_noise,
 )
 from pipecraft.strategy import Strategy, Team
-from tests.conftest import clean_corpus, clean_sample, make_words
+from pipecraft.synthetic import messy_corpus
+from tests.conftest import clean_corpus, clean_sample, copies_corpus, make_words, random_unicode
 from tests.scripted_clients import ConstantScorer, ScriptedModelClient
 
 
@@ -100,6 +106,158 @@ class TestDedup:
             agreements += lsh_says_dup == oracle_says_dup
         assert checked > 100
         assert agreements / checked >= 0.9
+
+
+# Reference versions of the MinHash layer as it was before each text and each
+# shingle were hashed once: one blake2b call per shingle of every sample, an
+# out-of-place splitmix64, and banding of every sample's signature.
+
+
+def reference_signature(shingles: frozenset[str], mcfg: MinhashConfig) -> np.ndarray:
+    if not shingles:
+        return np.full(mcfg.num_permutations, np.uint64(0xFFFF_FFFF_FFFF_FFFF), dtype=np.uint64)
+    hashes = np.asarray(
+        [int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "big")
+         for s in shingles],
+        dtype=np.uint64,
+    )
+    seeds = np.random.default_rng(0x5EED_CAFE).integers(
+        0, 1 << 64, size=mcfg.num_permutations, dtype=np.uint64
+    )
+    return reference_mix64(hashes[:, None] ^ seeds[None, :]).min(axis=0)
+
+
+def reference_mix64(values: np.ndarray) -> np.ndarray:
+    values = (values ^ (values >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    values = (values ^ (values >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return values ^ (values >> np.uint64(31))
+
+
+def reference_duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int]]:
+    mcfg = cfg.minhash
+    signatures = [
+        reference_signature(shingle_set(sample_shingle_text(s), mcfg.shingle_size), mcfg)
+        for s in dataset
+    ]
+    buckets: dict[tuple[int, bytes], list[int]] = defaultdict(list)
+    for idx, sig in enumerate(signatures):
+        for band in range(mcfg.bands):
+            chunk = sig[band * mcfg.rows_per_band : (band + 1) * mcfg.rows_per_band]
+            buckets[(band, chunk.tobytes())].append(idx)
+    candidates: set[tuple[int, int]] = set()
+    for members in buckets.values():
+        for pos, i in enumerate(members):
+            for j in members[pos + 1 :]:
+                candidates.add((min(i, j), max(i, j)))
+    return {
+        (i, j)
+        for i, j in candidates
+        if float(np.mean(signatures[i] == signatures[j])) >= mcfg.jaccard_threshold
+    }
+
+
+HASHING_CONFIGS = {
+    "default": OperatorConfig(),
+    "k2-loose": OperatorConfig(minhash=MinhashConfig(
+        shingle_size=2, num_permutations=32, bands=8, rows_per_band=4, jaccard_threshold=0.5)),
+    "k3-exact": OperatorConfig(minhash=MinhashConfig(
+        shingle_size=3, num_permutations=16, bands=16, rows_per_band=1, jaccard_threshold=1.0)),
+}
+
+
+def unicode_corpus(n: int = 300, seed: int = 0) -> Dataset:
+    """Fields drawn from a pool of 40 random Unicode texts, some empty and some
+    shorter than a shingle, so exact copies and shared fields are common."""
+    rng = random.Random(seed)
+    pool = [random_unicode(rng, 14) for _ in range(40)]
+    return Dataset.from_samples(
+        Sample(id=f"u{i:04d}", question=rng.choice(pool), answer=rng.choice(pool))
+        for i in range(n)
+    )
+
+
+HASHING_CORPORA = {
+    "unicode": unicode_corpus,
+    "messy": lambda: Dataset.from_samples(
+        Sample(id=f"{seed}-{s.id}", question=s.question, answer=s.answer)
+        for seed in range(3) for s in messy_corpus(seed)),
+    "copies": copies_corpus,
+}
+
+
+class TestHashingExactness:
+    """Hashing each distinct text and shingle once changes no signature and
+    no pair: the results equal the reference loops exactly."""
+
+    @pytest.mark.parametrize("name", HASHING_CONFIGS)
+    def test_signatures_on_random_unicode(self, name):
+        mcfg = HASHING_CONFIGS[name].minhash
+        rng = random.Random(21)
+        memo: dict[str, int] = {}
+        for _ in range(400):
+            shingles = shingle_set(random_unicode(rng, 30), mcfg.shingle_size)
+            expected = reference_signature(shingles, mcfg)
+            assert np.array_equal(minhash_signature(shingles, mcfg, {}), expected)
+            assert np.array_equal(minhash_signature(shingles, mcfg, memo), expected)
+
+    def test_empty_shingle_set_keeps_sentinel(self, cfg):
+        mcfg = cfg.minhash
+        assert np.array_equal(minhash_signature(frozenset(), mcfg, {}),
+                              reference_signature(frozenset(), mcfg))
+
+    def test_mix64_wraps_like_the_reference(self):
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 1 << 64, size=(64, 8), dtype=np.uint64)
+        values[0, :2] = (0, 0xFFFF_FFFF_FFFF_FFFF)
+        expected = reference_mix64(values.copy())
+        assert np.array_equal(operators._mix64(values), expected)
+
+    @pytest.mark.parametrize("config_name", HASHING_CONFIGS)
+    @pytest.mark.parametrize("corpus_name", HASHING_CORPORA)
+    def test_pairs_match_reference(self, corpus_name, config_name):
+        corpus = HASHING_CORPORA[corpus_name]()
+        cfg = HASHING_CONFIGS[config_name]
+        expected = reference_duplicate_pairs(corpus, cfg)
+        assert expected  # premise: every corpus has duplicates under every config
+        assert duplicate_pairs(corpus, cfg) == expected
+
+    @pytest.mark.parametrize("workload", ["replicated-2k", "distinct-3k"])
+    def test_pairs_match_reference_on_bench_corpora(self, bench_corpora, workload, cfg):
+        corpus = bench_corpora[workload]
+        assert duplicate_pairs(corpus, cfg) == reference_duplicate_pairs(corpus, cfg)
+
+    def test_one_signature_per_distinct_text(self, cfg, monkeypatch):
+        corpus = copies_corpus()
+        calls = []
+        signature = operators.minhash_signature
+
+        def counted(shingles, mcfg, memo):
+            calls.append(shingles)
+            return signature(shingles, mcfg, memo)
+
+        monkeypatch.setattr(operators, "minhash_signature", counted)
+        duplicate_pairs(corpus, cfg)
+        texts = {sample_shingle_text(s) for s in corpus}
+        assert len(calls) == len(texts) < len(corpus)
+
+    def test_each_shingle_hashed_once_per_call(self, cfg, monkeypatch):
+        corpus = copies_corpus()
+        hashed = []
+
+        class CountingHashlib:
+            @staticmethod
+            def blake2b(data, **kwargs):
+                hashed.append(data)
+                return hashlib.blake2b(data, **kwargs)
+
+        monkeypatch.setattr(operators, "hashlib", CountingHashlib)
+        duplicate_pairs(corpus, cfg)
+        shingles = set().union(*(shingle_set(sample_shingle_text(s), cfg.minhash.shingle_size)
+                                 for s in corpus))
+        assert sorted(hashed) == sorted(s.encode("utf-8") for s in shingles)
+        hashed.clear()
+        duplicate_pairs(corpus, cfg)  # the shingle memo lasts one call
+        assert len(hashed) == len(shingles)
 
 
 class TestStripNoise:
