@@ -30,6 +30,8 @@ class MinhashConfig:
     jaccard_threshold: float = 0.8
 
     def __post_init__(self) -> None:
+        if self.bands < 1 or self.rows_per_band < 1:
+            raise ConfigError("bands and rows_per_band must be >= 1")
         if self.bands * self.rows_per_band != self.num_permutations:
             raise ConfigError("bands * rows_per_band must equal num_permutations")
         if not 0.0 <= self.jaccard_threshold <= 1.0:

@@ -130,7 +130,7 @@ def _parse_record(line: str, line_number: int) -> Sample:
     if unknown:
         raise DatasetError(f"line {line_number}: unknown fields {sorted(unknown)}")
     try:
-        return Sample(
+        sample = Sample(
             id=record.get(FIELD_ID, ""),
             question=record.get(FIELD_QUESTION, ""),
             answer=record.get(FIELD_ANSWER, ""),
@@ -138,6 +138,17 @@ def _parse_record(line: str, line_number: int) -> Sample:
         )
     except DatasetError as exc:
         raise DatasetError(f"line {line_number}: {exc}") from exc
+    # a \ud800-style escape decodes to a lone surrogate, which no UTF encoding takes
+    strings = [sample.id, sample.question, sample.answer, *sample.meta]
+    strings += [value for value in sample.meta.values() if isinstance(value, str)]
+    for text in strings:
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DatasetError(
+                f"line {line_number}: string {text[:40]!r} is not valid Unicode text ({exc.reason})"
+            ) from exc
+    return sample
 
 
 def load_dataset(path: str | Path) -> Dataset:

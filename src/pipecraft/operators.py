@@ -10,18 +10,22 @@ abort a long search.
 Optimization and Generation route only screener-noisy samples through the
 model; screener-clean samples pass through byte-identical.
 
-MinHash dedup signs each distinct shingle text once and hashes each distinct
-shingle once per pass; identical texts share a signature and are always
-duplicates of each other. Neither reuse changes a signature or a pair.
+MinHash dedup signs the distinct shingle texts of a pass together, in numpy:
+a shingle is a window of code points, hashed by a seeded splitmix64 chain, and
+one-permutation hashing with optimal densification (Li, Owen & Zhang 2012;
+Shrivastava 2017) spreads each text's window hashes over
+``num_permutations`` bins. Identical texts share a signature and are always
+duplicates of each other.
+
+A change that can alter any team's output for the same config and seed must
+bump :data:`pipecraft.strategy.OPERATOR_REVISION`, which cache keys bind.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -50,11 +54,17 @@ GENERATION_SHOT_COUNT = 3
 # MinHash / LSH near-duplicate removal
 # ---------------------------------------------------------------------------
 
-_PERMUTATION_SEED = 0x5EED_CAFE
+_HASH_SEED = 0x5EED_CAFE
 _EMPTY_SENTINEL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
+# one past the last code point: pads a text shorter than a shingle
+_PAD_BYTES = (0x110000).to_bytes(4, "little")
+_CODE_BITS = 21
+_CODES_PER_WORD = 3
+# most shingle windows hashed at once, which bounds the transient arrays
+SIGN_BLOCK_WINDOWS = 1 << 15
 
 
 def sample_shingle_text(sample: Sample) -> str:
@@ -64,35 +74,6 @@ def sample_shingle_text(sample: Sample) -> str:
     cleaning passes and matches markup variants of the same content.
     """
     return clean_text(sample.question) + "\n" + clean_text(sample.answer)
-
-
-def shingle_set(text: str, shingle_size: int) -> frozenset[str]:
-    """Character shingles; texts shorter than the shingle size yield the whole
-    text as a single shingle (empty text yields no shingles)."""
-    if not text:
-        return frozenset()
-    if len(text) < shingle_size:
-        return frozenset((text,))
-    return frozenset(text[i : i + shingle_size] for i in range(len(text) - shingle_size + 1))
-
-
-def _shingle_hashes(shingles: frozenset[str], memo: dict[str, int]) -> np.ndarray:
-    """64-bit ``blake2b`` value of each shingle; ``memo`` keeps each value so
-    a shingle shared by several texts is hashed once."""
-    values = []
-    for shingle in shingles:
-        value = memo.get(shingle)
-        if value is None:
-            digest = hashlib.blake2b(shingle.encode("utf-8"), digest_size=8).digest()
-            value = memo[shingle] = int.from_bytes(digest, "big")
-        values.append(value)
-    return np.asarray(values, dtype=np.uint64)
-
-
-@lru_cache(maxsize=8)
-def _permutation_seeds(num: int) -> np.ndarray:
-    rng = np.random.default_rng(_PERMUTATION_SEED)
-    return rng.integers(0, 1 << 64, size=num, dtype=np.uint64)
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
@@ -108,38 +89,122 @@ def _mix64(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def minhash_signature(
-    shingles: frozenset[str], cfg: MinhashConfig, memo: dict[str, int]
-) -> np.ndarray:
-    """MinHash signature: per permutation, the minimum of a seeded 64-bit mix
-    of the shingle hashes. The empty shingle set gets a sentinel signature so
-    two empty texts still hash identically. ``memo`` maps shingles to their
-    hashes; the signatures of one dedup pass share it."""
-    if not shingles:
-        return np.full(cfg.num_permutations, _EMPTY_SENTINEL, dtype=np.uint64)
-    hashes = _shingle_hashes(shingles, memo)
-    seeds = _permutation_seeds(cfg.num_permutations)
-    return _mix64(hashes[:, None] ^ seeds[None, :]).min(axis=0)
+def _densify_candidates(num_bins: int) -> np.ndarray:
+    """Row ``b`` is a seeded permutation of all bins: the order in which an
+    empty bin ``b`` looks for a filled bin to borrow from."""
+    rng = np.random.default_rng(_HASH_SEED)
+    return rng.permuted(np.tile(np.arange(num_bins), (num_bins, 1)), axis=1)
+
+
+def _blocks(texts: Sequence[str], shingle_size: int):
+    """Yield ``(rows, windows, pieces)`` with at most ``SIGN_BLOCK_WINDOWS``
+    windows per block: piece ``i`` is a slice of text ``rows[i]`` holding
+    ``windows[i]`` whole windows. A text with more windows is split across
+    blocks; an empty text has no windows and appears in none."""
+    rows: list[int] = []
+    windows: list[int] = []
+    pieces: list[str] = []
+    room = SIGN_BLOCK_WINDOWS
+    for row, text in enumerate(texts):
+        total = max(len(text), shingle_size) - shingle_size + 1 if text else 0
+        start = 0
+        while start < total:
+            take = min(room, total - start)
+            rows.append(row)
+            windows.append(take)
+            pieces.append(text[start : start + take + shingle_size - 1])
+            start += take
+            room -= take
+            if not room:
+                yield rows, windows, pieces
+                rows, windows, pieces, room = [], [], [], SIGN_BLOCK_WINDOWS
+    if rows:
+        yield rows, windows, pieces
+
+
+def _window_hashes(pieces: list[str], windows: np.ndarray, shingle_size: int) -> np.ndarray:
+    """Seeded 64-bit hash of every shingle window of the pieces, in order;
+    piece ``i`` has ``windows[i]`` windows. A window packs 21 bits per code
+    point, three code points per word, and mixes its words into the hash in
+    turn; a piece shorter than a shingle is padded with 0x110000, which is
+    not a code point, to one window. Every position of the joined pieces is
+    hashed with slices; the windows that straddle two pieces are dropped."""
+    data = b"".join(piece.encode("utf-32-le") + _PAD_BYTES * (shingle_size - len(piece))
+                    for piece in pieces)
+    codes = np.frombuffer(data, dtype=np.uint32).astype(np.uint64)
+    count = codes.size - shingle_size + 1
+    hashes = np.full(count, _HASH_SEED, dtype=np.uint64)
+    word, part = np.empty_like(hashes), np.empty_like(hashes)
+    for word_start in range(0, shingle_size, _CODES_PER_WORD):
+        word[:] = codes[word_start : word_start + count]
+        for offset in range(1, min(_CODES_PER_WORD, shingle_size - word_start)):
+            start = word_start + offset
+            np.left_shift(codes[start : start + count], np.uint64(_CODE_BITS * offset), out=part)
+            word |= part
+        hashes ^= word
+        _mix64(hashes)
+    ends = np.cumsum(windows + shingle_size - 1)[:-1]
+    straddling = (ends[:, None] - np.arange(shingle_size - 1, 0, -1)).ravel()
+    return np.delete(hashes, straddling)
+
+
+def minhash_signature(texts: Sequence[str], cfg: MinhashConfig) -> np.ndarray:
+    """One-permutation MinHash signatures, one row per text.
+
+    Each shingle window's hash picks one of ``K = cfg.num_permutations`` bins
+    (``hash % K``) and competes for that bin's minimum with ``hash // K``. A
+    bin no window reached borrows the value of the first filled bin in its
+    seeded candidate order (optimal densification), so every bin of every
+    non-empty text is filled. An empty text has no shingles and gets the
+    sentinel row, so two empty texts still hash identically.
+    """
+    num_bins = cfg.num_permutations
+    bins = np.uint64(num_bins)
+    signatures = np.full((len(texts), num_bins), _EMPTY_SENTINEL, dtype=np.uint64)
+    for rows, windows, pieces in _blocks(texts, cfg.shingle_size):
+        counts = np.asarray(windows, dtype=np.intp)
+        hashes = _window_hashes(pieces, counts, cfg.shingle_size)
+        # each window's cell in the flattened signature matrix
+        cells = np.repeat(np.asarray(rows, dtype=np.intp) * num_bins, counts)
+        np.add(cells, hashes % bins, out=cells, casting="unsafe")
+        hashes //= bins
+        np.minimum.at(signatures.reshape(-1), cells, hashes)
+    candidates = _densify_candidates(num_bins)
+    step = max(1, SIGN_BLOCK_WINDOWS // num_bins)
+    for start in range(0, len(texts), step):
+        _densify(signatures[start : start + step], candidates)
+    return signatures
+
+
+def _densify(signatures: np.ndarray, candidates: np.ndarray) -> None:
+    """Optimal densification, in place: every bin no window reached takes
+    the value of the first reached bin in its candidate order. The order is
+    a permutation of all bins, so the search ends for any text with one
+    reached bin; a text with none keeps the sentinel row."""
+    # for K > 1 a value h // K is below the sentinel, which marks unreached bins
+    empty = signatures == _EMPTY_SENTINEL
+    rows, holes = np.nonzero(empty & ~empty.all(axis=1, keepdims=True))
+    for attempt in range(candidates.shape[1]):
+        if not rows.size:
+            break
+        sources = candidates[holes, attempt]
+        found = ~empty[rows, sources]
+        signatures[rows[found], holes[found]] = signatures[rows[found], sources[found]]
+        rows, holes = rows[~found], holes[~found]
 
 
 def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
 
-def _signed_groups(
-    dataset: Dataset, mcfg: MinhashConfig
-) -> tuple[list[list[int]], list[np.ndarray]]:
+def _signed_groups(dataset: Dataset, mcfg: MinhashConfig) -> tuple[list[list[int]], np.ndarray]:
     """Sample indices grouped by shingle text, in order of first appearance,
-    and one signature per group. The texts and the shingle memo are freed on
-    return, before banding."""
+    and one signature row per group. The texts are freed on return, before
+    banding."""
     groups: dict[str, list[int]] = defaultdict(list)
     for idx, sample in enumerate(dataset):
         groups[sample_shingle_text(sample)].append(idx)
-    memo: dict[str, int] = {}
-    signatures = [
-        minhash_signature(shingle_set(text, mcfg.shingle_size), mcfg, memo) for text in groups
-    ]
-    return list(groups.values()), signatures
+    return list(groups.values()), minhash_signature(list(groups), mcfg)
 
 
 def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int]]:

@@ -153,6 +153,14 @@ def parse_strategy(text: str) -> Strategy:
     return Strategy(tuple(teams))
 
 
+# Revision of the operators' implementation. Bump it whenever a team's output
+# can change for the same config and seed, so that a cache filled by older code
+# misses instead of serving results a recompute would no longer produce. Keys
+# before revision 2 (one-permutation MinHash) carried no revision.
+OPERATOR_REVISION = 2
+
+
 def strategy_key(strategy: Strategy, config_digest: str, seed: int) -> str:
-    """Cache identity: strategy plus the operator config and run seed it ran under."""
-    return f"{strategy.canonical()}|cfg={config_digest}|seed={seed}"
+    """Cache identity: strategy plus the operator revision, config and run
+    seed it ran under."""
+    return f"{strategy.canonical()}|ops={OPERATOR_REVISION}|cfg={config_digest}|seed={seed}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import html
 import re
 import unicodedata
+from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -74,10 +75,11 @@ def is_allowed_char(ch: str) -> bool:
 
 
 def special_char_ratio(text: str) -> float:
-    """Fraction of characters outside the allowed alphabet; empty text -> 0."""
+    """Fraction of characters outside the allowed alphabet; empty text -> 0.
+    Each distinct character is classified once."""
     if not text:
         return 0.0
-    special = sum(1 for ch in text if not is_allowed_char(ch))
+    special = sum(n for ch, n in Counter(text).items() if not is_allowed_char(ch))
     return special / len(text)
 
 

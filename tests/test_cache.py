@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import pipecraft
+import pipecraft.cache
 from pipecraft.cache import (
     DATA_FILE,
     LOCK_FILE,
@@ -73,6 +74,23 @@ class TestPutGet:
         cache.put(Strategy((C,)), "base-1", clean_corpus(4, seed=1))
         cache.put(Strategy((C,)), "base-2", clean_corpus(5, seed=2))
         assert cache.stats()["entries"] == 2
+
+
+class TestOperatorRevision:
+    def test_entry_under_previous_key_form_is_a_miss(self, tmp_path, monkeypatch):
+        """Keys written before the operator revision joined them name no
+        revision; such an entry stays on disk but never serves a lookup."""
+        root, digest, corpus = tmp_path / "cache", OperatorConfig().digest(), clean_corpus(4, 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(pipecraft.cache, "strategy_key",
+                          lambda strategy, cfg_digest, seed:
+                          f"{strategy.canonical()}|cfg={cfg_digest}|seed={seed}")
+            StrategyCache(root, digest, seed=0).put(Strategy((C,)), "fp", corpus)
+        reopened = StrategyCache(root, digest, seed=0)
+        assert reopened.stats()["entries"] == 1
+        assert reopened.find_longest_prefix(Strategy((C,)), "fp") is None
+        reopened.put(Strategy((C,)), "fp", corpus)
+        assert reopened.find_longest_prefix(Strategy((C,)), "fp") is not None
 
 
 def brute_force_longest_prefix(cache: StrategyCache, f: Strategy, base_fp: str):

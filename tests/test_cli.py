@@ -182,6 +182,7 @@ class TestRun:
         {"sampling_rat": 0.2},
         {"operators": {"selection_keep": 0.5}},
         {"operators": {"minhash": {"bands_": 16}}},
+        {"operators": {"minhash": {"bands": 0, "num_permutations": 0}}},
         {"evaluation": {"weights": [0.4, 0.3, 0.2, 0.1]}},
         {"evaluation": {"trainer": {"epoch": 2}}},
         {"endpoints": {"agnet": None}},
@@ -265,6 +266,40 @@ class TestOutputErrors:
                               endpoints={"embedder": "http://embedder.test/embed"})
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
         self.assert_one_line(capsys, "run failed: sampling failed: ")
+
+
+class TestLoneSurrogate:
+    """A record whose text holds a lone surrogate (a ``\\ud800`` escape) is a
+    bad input: ``run`` exits 1, ``apply`` and ``sample`` exit 2, each with
+    one line naming the record's line."""
+
+    @pytest.fixture
+    def bad_corpus(self, tmp_path, corpus_path):
+        path = tmp_path / "surrogate.jsonl"
+        lines = corpus_path.read_text(encoding="utf-8").splitlines()
+        lines.insert(3, json.dumps({"id": "bad", "question": "q", "answer": "bad \ud800 text"}))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def assert_one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + "line 4: ")
+        assert len(err.splitlines()) == 1
+
+    def test_run_exits_1(self, tmp_path, bad_corpus, capsys):
+        config = write_config(tmp_path, bad_corpus)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        self.assert_one_line(capsys, "run failed: ")
+
+    def test_apply_exits_2(self, tmp_path, bad_corpus, capsys):
+        assert main(["apply", "--strategy", "Cleaning", "--input", str(bad_corpus),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        self.assert_one_line(capsys, "config error: ")
+
+    def test_sample_exits_2(self, tmp_path, bad_corpus, capsys):
+        assert main(["sample", "--input", str(bad_corpus),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        self.assert_one_line(capsys, "config error: ")
 
 
 class TestEnvironmentEndpoints:

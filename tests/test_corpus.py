@@ -137,3 +137,23 @@ def test_unknown_field_rejected(tmp_path):
     path.write_text(json.dumps({"id": "x", "bogus": 1}) + "\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="unknown fields"):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("record", [
+    {"id": "x", "answer": "bad \ud800 text"},
+    {"id": "x\udfff"},
+    {"id": "x", "meta": {"src": "\udc80"}},
+    {"id": "x", "meta": {"\ud83d": 1}},
+], ids=["answer", "id", "meta-value", "meta-key"])
+def test_lone_surrogate_rejected_with_line_number(tmp_path, record):
+    path = tmp_path / "surrogate.jsonl"
+    good = json.dumps({"id": "ok", "question": "q", "answer": "a"})
+    path.write_text(good + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match="line 2: .*not valid Unicode"):
+        load_dataset(path)
+
+
+def test_escaped_astral_pair_loads(tmp_path):
+    path = tmp_path / "pair.jsonl"
+    path.write_text('{"id": "x", "answer": "smile \\ud83d\\ude00"}\n', encoding="utf-8")
+    assert load_dataset(path)[0].answer == "smile \U0001F600"

@@ -4,6 +4,7 @@ import pytest
 
 from pipecraft.strategy import (
     EMPTY_STRATEGY,
+    OPERATOR_REVISION,
     DuplicateTeamError,
     Strategy,
     StrategyParseError,
@@ -149,3 +150,10 @@ def test_strategy_key_binds_config_and_seed():
     assert strategy_key(f, "abc", 1) != strategy_key(f, "abc", 2)
     assert strategy_key(f, "abc", 1) != strategy_key(f, "xyz", 1)
     assert strategy_key(f, "abc", 1) != strategy_key(EMPTY_STRATEGY, "abc", 1)
+
+
+def test_strategy_key_binds_operator_revision(monkeypatch):
+    f = Strategy((Team.CLEANING,))
+    before = strategy_key(f, "abc", 1)
+    monkeypatch.setattr("pipecraft.strategy.OPERATOR_REVISION", OPERATOR_REVISION + 1)
+    assert strategy_key(f, "abc", 1) != before

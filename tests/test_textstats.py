@@ -22,6 +22,7 @@ from pipecraft.textstats import (
     REASON_SPECIAL_CHARS,
     REASON_TOKEN_COUNT,
     clean_text,
+    is_allowed_char,
     length_adequacy,
     ngram_repetition_ratio,
     special_char_ratio,
@@ -75,6 +76,19 @@ class TestSpecialCharRatio:
 
     def test_markup_chars_are_special(self):
         assert special_char_ratio("<><>") == 1.0
+
+    def test_matches_per_character_formula_over_all_code_points(self):
+        every = "".join(map(chr, range(0x110000)))
+        for start in range(0, len(every), 1 << 12):
+            chunk = every[start : start + (1 << 12)]
+            assert special_char_ratio(chunk) == ref_special_char_ratio(chunk)
+
+    def test_matches_per_character_formula_on_repeats(self):
+        texts = random_unicode_texts(31, 500) + messy_texts()
+        rng = random.Random(31)
+        texts += [text * rng.randint(2, 5) + text[: rng.randint(0, len(text))] for text in texts]
+        for text in texts:
+            assert special_char_ratio(text) == ref_special_char_ratio(text)
 
 
 class TestTokenCount:
@@ -161,6 +175,13 @@ def ref_ngram_ratio(text: str, n: int) -> float:
         return 0.0
     grams = {tuple(tokens[i : i + n]) for i in range(total)}
     return 1.0 - len(grams) / total
+
+
+def ref_special_char_ratio(text: str) -> float:
+    """The per-character formula: one alphabet check for every character."""
+    if not text:
+        return 0.0
+    return sum(1 for ch in text if not is_allowed_char(ch)) / len(text)
 
 
 def ref_filter_violations(text: str, cfg: OperatorConfig) -> list[str]:
