@@ -226,9 +226,6 @@ class HillClimbAgent(AgentClient):
     data needs no processing.
     """
 
-    def __init__(self, near_zero: float = NEAR_ZERO_EPSILON) -> None:
-        self.near_zero = near_zero
-
     def complete(self, messages: list[dict[str, str]], temperature: float, seed: int) -> str:
         prompt = next(
             (m["content"] for m in reversed(messages) if m.get("role") == "user"), ""
@@ -245,7 +242,7 @@ class HillClimbAgent(AgentClient):
             )
             return self._emit_group([Strategy((team,)) for team in TEAM_ORDER][:limit], reason)
         latest = rounds[-1]
-        if all(abs(score) < self.near_zero for _, score in latest):
+        if all(abs(score) < NEAR_ZERO_EPSILON for _, score in latest):
             return NO_PROCESSING_MARKER
         flat = [pair for pairs in rounds for pair in pairs]
         # max keeps the first of equal keys: ties go to the earliest pair

@@ -81,6 +81,9 @@ class StrategyCache:
         for meta in sorted((self.root / ENTRIES_DIR).glob(f"*/{META_FILE}")):
             try:
                 entry = from_json(CacheEntry, json.loads(meta.read_text(encoding="utf-8")), "meta")
+                entry_dir = self._entry_dir(entry.key, entry.base_fingerprint)
+                if meta.parent != entry_dir or entry.storage_path != self._storage_path(entry_dir):
+                    raise ValueError(f"entry does not belong in {meta.parent.name}")
             except (OSError, ValueError) as exc:  # ConfigError is a ValueError
                 logger.warning("skipping unreadable cache entry %s: %s", meta, exc)
                 continue
@@ -91,6 +94,11 @@ class StrategyCache:
     def _entry_dir(self, key: str, base_fingerprint: str) -> Path:
         digest = hashlib.sha256(f"{key}|base={base_fingerprint}".encode("utf-8")).hexdigest()[:24]
         return self.root / ENTRIES_DIR / digest
+
+    def _storage_path(self, entry_dir: Path) -> str:
+        """An entry's data file, relative to the root: only ever its own
+        directory's, so a tampered entry cannot reach outside the root."""
+        return str((entry_dir / DATA_FILE).relative_to(self.root))
 
     # -- core operations ----------------------------------------------------
 
@@ -120,7 +128,7 @@ class StrategyCache:
                 strategy=strategy.canonical(),
                 base_fingerprint=base_fingerprint,
                 result_fingerprint=result.fingerprint,
-                storage_path=str((entry_dir / DATA_FILE).relative_to(self.root)),
+                storage_path=self._storage_path(entry_dir),
                 created_at=time.time(),
                 producer_round=producer_round,
             )
@@ -185,32 +193,23 @@ class StrategyCache:
 
         A corrupt cached entry is evicted and processing falls back to the
         next-longest prefix (ultimately the raw base)."""
-        if f.is_empty:
-            return base
         base_fp = base.fingerprint
-        current = base
-        prefix_len = 0
-        while True:
-            match = self.find_longest_prefix(f, base_fp)
-            if match is None:
-                break
+        current, done = base, 0
+        while (match := self.find_longest_prefix(f, base_fp)) is not None:
             entry, suffix = match
             try:
                 current = self.load_entry(entry)
             except CacheIntegrityError as exc:
                 logger.warning("evicting corrupt cache entry %s: %s", entry.key, exc)
                 self.evict(entry)
-                current = base
                 continue
-            prefix_len = len(f.teams) - len(suffix.teams)
+            done = len(f) - len(suffix)
             self._hits += 1
-            self._saved += prefix_len
+            self._saved += done
             break
-        teams_so_far = list(f.teams[:prefix_len])
-        for team in f.teams[prefix_len:]:
-            current = apply_team(team, current, ctx)
-            teams_so_far.append(team)
-            self.put(Strategy(tuple(teams_so_far)), base_fp, current, producer_round)
+        for k in range(done + 1, len(f) + 1):
+            current = apply_team(f.teams[k - 1], current, ctx)
+            self.put(Strategy(f.teams[:k]), base_fp, current, producer_round)
         return current
 
     # -- reporting / administration -----------------------------------------

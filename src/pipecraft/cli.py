@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .agent import HillClimbAgent, SearchError, run_search
 from .cache import CacheError, CacheLock, StrategyCache
 from .clients import HttpAgentClient, HttpEmbeddingClient, HttpScreenerClient, HttpTrainerClient
-from .config import ConfigError, RunConfig, load_run_config, run_config_from, run_config_snapshot
+from .config import ConfigError, RunConfig, load_run_config, run_config_from
 from .corpus import DatasetError, load_dataset, save_dataset
 from .evaluation import RunLog
 from .operators import ExecutionContext, apply_strategy
@@ -83,7 +85,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.json").write_text(
-            json.dumps(run_config_snapshot(run_cfg), sort_keys=True, indent=2) + "\n",
+            json.dumps(asdict(run_cfg), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
         )
         base = load_dataset(dataset_path)
@@ -177,6 +179,14 @@ def cmd_sample(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    limits = (args.max_entries, args.max_age_days)
+    if any(v is not None and not (math.isfinite(v) and v >= 0) for v in limits):
+        print("config error: --max-entries and --max-age-days must be finite and "
+              "non-negative", file=sys.stderr)
+        return EXIT_CONFIG
+    if not Path(args.cache_dir).is_dir():
+        print(f"cache error: {args.cache_dir} is not a cache directory", file=sys.stderr)
+        return EXIT_RUNTIME
     try:
         if args.cache_command == "prune":
             max_age_s = args.max_age_days * 86400.0 if args.max_age_days is not None else None

@@ -209,8 +209,3 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return run_config_from(raw)
-
-
-def run_config_snapshot(cfg: RunConfig) -> dict:
-    """JSON-serializable snapshot written into the run artifacts directory."""
-    return asdict(cfg)

@@ -22,8 +22,6 @@ from .operators import ExecutionContext, apply_strategy
 from .strategy import Strategy
 from .textstats import text_profile, violations
 
-FAILURE_SCORE = float("-inf")
-
 
 class EvaluationError(RuntimeError):
     pass

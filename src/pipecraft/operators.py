@@ -7,8 +7,9 @@ Selection are model-backed and run behind :class:`~pipecraft.clients.ModelClient
 they fail open (pass the sample through with a flag) so one bad call cannot
 abort a long search.
 
-Optimization and Generation route only screener-noisy samples through the
-model; screener-clean samples pass through byte-identical.
+Optimization and Generation share one routed pass: every screener-noisy
+sample goes through the team's per-sample operator, and every screener-clean
+sample passes through as the same object, without a model call.
 
 MinHash dedup signs the distinct shingle texts of a pass together, in numpy:
 a shingle is a window of code points, hashed by a seeded splitmix64 chain, and
@@ -26,20 +27,19 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from functools import partial
+from typing import Sequence
 
 import numpy as np
 
-from .clients import ClientError, ModelClient
+from .clients import (AgentClient, ClientError, EmbeddingClient, HashingEmbedder, HeuristicScorer,
+                      ModelClient, NormalizingOptimizer, TemplateGenerator, TrainerClient)
 from .config import MinhashConfig, OperatorConfig
 from .corpus import Dataset, Sample
+from .screener import Screener
 from .strategy import Strategy, Team
 from .textstats import clean_text, text_profile, violations
 from .timing import NULL_TIMER, PhaseTimer
-
-if TYPE_CHECKING:
-    from .clients import AgentClient, EmbeddingClient, TrainerClient
-    from .screener import Screener
 
 logger = logging.getLogger(__name__)
 
@@ -304,17 +304,16 @@ def apply_cleaning(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def optimize_sample(sample: Sample, mode: str, client: ModelClient, seed: int = 0) -> Sample:
-    """Replace the targeted non-empty field(s) with the optimizer's output.
-    Client failure passes the sample through with an error flag."""
-    if mode not in ("question", "answer", "both"):
-        raise ValueError(f"unknown optimize mode {mode!r}")
-    fields = ("question", "answer") if mode == "both" else (mode,)
+def optimize_sample(sample: Sample, client: ModelClient, seed: int = 0) -> Sample:
+    """Replace every non-empty field, question first, with the optimizer's
+    output; ``meta["optimized"]`` names the field, or ``both``. A sample with
+    no text is returned unchanged without any client call. Client failure
+    passes the sample through with an error flag."""
     updates: dict[str, str] = {}
-    for field_name in fields:
+    for field_name in ("question", "answer"):
         text = getattr(sample, field_name)
         if not text:
-            raise ValueError(f"cannot optimize empty field {field_name!r} of {sample.id!r}")
+            continue
         try:
             response = client.complete(
                 {"role": "optimizer", "mode": field_name, "text": text, "seed": seed}
@@ -323,15 +322,10 @@ def optimize_sample(sample: Sample, mode: str, client: ModelClient, seed: int = 
             logger.warning("optimizer failed on %s: %s", sample.id, exc)
             return sample.with_fields(meta_updates={META_OPTIMIZE_ERROR: str(exc)})
         updates[field_name] = response["text"]
-    return sample.with_fields(
-        question=updates.get("question"),
-        answer=updates.get("answer"),
-        meta_updates={META_OPTIMIZED: mode},
-    )
-
-
-def _shots_payload(shots: Sequence[Sample]) -> list[dict[str, str]]:
-    return [{"question": s.question, "answer": s.answer} for s in shots]
+    if not updates:
+        return sample
+    optimized = "both" if len(updates) == 2 else next(iter(updates))
+    return sample.with_fields(**updates, meta_updates={META_OPTIMIZED: optimized})
 
 
 def generate_missing(
@@ -346,29 +340,23 @@ def generate_missing(
     if not shots:
         logger.warning("no shots available to generate fields of %s", sample.id)
         return sample.with_fields(meta_updates={META_GENERATE_ERROR: "no-shots"})
-    question, answer = sample.question, sample.answer
+    fields = {"question": sample.question, "answer": sample.answer}
     for field_name in missing:  # question first, answer conditioned on it
         try:
             response = client.complete(
                 {
                     "role": "generator",
                     "mode": field_name,
-                    "question": question,
-                    "answer": answer,
-                    "shots": _shots_payload(shots),
+                    **fields,
+                    "shots": [{"question": s.question, "answer": s.answer} for s in shots],
                     "seed": seed,
                 }
             )
         except ClientError as exc:
             logger.warning("generator failed on %s: %s", sample.id, exc)
             return sample.with_fields(meta_updates={META_GENERATE_ERROR: str(exc)})
-        if field_name == "question":
-            question = response["text"]
-        else:
-            answer = response["text"]
-    return sample.with_fields(
-        question=question, answer=answer, meta_updates={META_GENERATED: ",".join(missing)}
-    )
+        fields[field_name] = response["text"]
+    return sample.with_fields(**fields, meta_updates={META_GENERATED: ",".join(missing)})
 
 
 def select_high_quality(
@@ -415,13 +403,13 @@ class ExecutionContext:
     ride along so one context drives a whole search."""
 
     cfg: OperatorConfig
-    screener: "Screener"
+    screener: Screener
     optimizer: ModelClient
     generator: ModelClient
     scorer: ModelClient
-    embedder: "EmbeddingClient | None" = None
-    agent: "AgentClient | None" = None
-    trainer: "TrainerClient | None" = None
+    embedder: EmbeddingClient | None = None
+    agent: AgentClient | None = None
+    trainer: TrainerClient | None = None
     cache: object | None = None
     run_log: object | None = None
     timer: PhaseTimer = NULL_TIMER
@@ -436,9 +424,6 @@ class ExecutionContext:
         timer: PhaseTimer = NULL_TIMER,
         **overrides,
     ) -> "ExecutionContext":
-        from .clients import HashingEmbedder, HeuristicScorer, NormalizingOptimizer, TemplateGenerator
-        from .screener import Screener
-
         cfg = cfg or OperatorConfig()
         kwargs = dict(
             cfg=cfg,
@@ -460,17 +445,6 @@ class ExecutionContext:
         return sum(self.team_invocations.values())
 
 
-def _optimize_mode(sample: Sample) -> str | None:
-    has_q, has_a = bool(sample.question), bool(sample.answer)
-    if has_q and has_a:
-        return "both"
-    if has_q:
-        return "question"
-    if has_a:
-        return "answer"
-    return None
-
-
 def _generation_shots(clean: Dataset, full: Dataset) -> list[Sample]:
     shots = [s for s in clean if s.question and s.answer][:GENERATION_SHOT_COUNT]
     if not shots:
@@ -480,33 +454,25 @@ def _generation_shots(clean: Dataset, full: Dataset) -> list[Sample]:
 
 def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
     """Apply one team. Cleaning and Selection act on the whole dataset;
-    Optimization and Generation act only on the screener-noisy partition and
-    pass screener-clean samples through byte-identical."""
+    Optimization and Generation route each screener-noisy sample through
+    their per-sample operator and pass each screener-clean sample through as
+    the same object."""
     ctx.count_invocation(team)
     if team is Team.CLEANING:
         return apply_cleaning(dataset, ctx.cfg)
     if team is Team.SELECTION:
         return select_high_quality(dataset, ctx.scorer, ctx.cfg.selection_keep_fraction, ctx.seed)
-
-    processed: list[Sample] = []
     if team is Team.OPTIMIZATION:
-        for sample in dataset:
-            if ctx.screener.classify(sample).is_noisy:
-                mode = _optimize_mode(sample)
-                sample = optimize_sample(sample, mode, ctx.optimizer, ctx.seed) if mode else sample
-            processed.append(sample)
-        return Dataset.from_samples(processed)
-
-    if team is Team.GENERATION:
+        process = partial(optimize_sample, client=ctx.optimizer, seed=ctx.seed)
+    elif team is Team.GENERATION:
         clean, _ = ctx.screener.partition(dataset)
         shots = _generation_shots(clean, dataset)
-        for sample in dataset:
-            if ctx.screener.classify(sample).is_noisy:
-                sample = generate_missing(sample, shots, ctx.generator, ctx.seed)
-            processed.append(sample)
-        return Dataset.from_samples(processed)
-
-    raise ValueError(f"unknown team {team!r}")
+        process = partial(generate_missing, shots=shots, client=ctx.generator, seed=ctx.seed)
+    else:
+        raise ValueError(f"unknown team {team!r}")
+    return Dataset.from_samples(
+        process(sample) if ctx.screener.classify(sample).is_noisy else sample for sample in dataset
+    )
 
 
 def apply_strategy(strategy: Strategy, dataset: Dataset, ctx: ExecutionContext) -> Dataset:

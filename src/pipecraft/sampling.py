@@ -88,29 +88,23 @@ def _round_half_up(x: float) -> int:
 
 
 def stratum_counts(n_clean: int, n_noisy: int, rate: float) -> tuple[int, int]:
-    """Per-stratum draw counts: round-half-up per stratum; if the pair misses
-    the global target by one, the larger stratum absorbs the difference."""
-    total_target = _round_half_up(rate * (n_clean + n_noisy))
-    take_clean = min(n_clean, _round_half_up(rate * n_clean))
-    take_noisy = min(n_noisy, _round_half_up(rate * n_noisy))
-    diff = total_target - (take_clean + take_noisy)
-    if diff != 0:
-        clean_is_larger = n_clean >= n_noisy
-        for _ in range(abs(diff)):
-            step = 1 if diff > 0 else -1
-            if clean_is_larger:
-                adjusted = take_clean + step
-                if 0 <= adjusted <= n_clean:
-                    take_clean = adjusted
-                else:
-                    take_noisy = min(max(take_noisy + step, 0), n_noisy)
-            else:
-                adjusted = take_noisy + step
-                if 0 <= adjusted <= n_noisy:
-                    take_noisy = adjusted
-                else:
-                    take_clean = min(max(take_clean + step, 0), n_clean)
-    return take_clean, take_noisy
+    """Per-stratum draw counts for a rate in (0, 1]: round-half-up per
+    stratum, then the larger stratum (clean on a tie) absorbs the miss
+    against the rounded global target.
+
+    Neither take can exceed its stratum, and the miss is at most one either
+    way. The larger stratum can always absorb it: it is full only when both
+    strata are, and then the miss is not positive; it is empty only when both
+    are, and then the miss is not negative.
+    """
+    if not 0.0 < rate <= 1.0:
+        raise ValueError("rate must be in (0, 1]")
+    take_clean = _round_half_up(rate * n_clean)
+    take_noisy = _round_half_up(rate * n_noisy)
+    miss = _round_half_up(rate * (n_clean + n_noisy)) - take_clean - take_noisy
+    if n_clean >= n_noisy:
+        return take_clean + miss, take_noisy
+    return take_clean, take_noisy + miss
 
 
 def stratified_sample(

@@ -433,6 +433,23 @@ class TestIntegrity:
         assert out.fingerprint == direct.fingerprint
         assert cache.verify() == []
 
+    def test_corrupt_longest_prefix_falls_back_to_shorter_prefix(self, cache, caplog):
+        corpus = messy_test_corpus(9)
+        cache.apply_with_reuse(Strategy((C, O)), corpus, make_ctx())
+        (entry,) = [e for e in cache.entries() if e.strategy == "Cleaning -> Optimization"]
+        path = cache.root / entry.storage_path
+        raw = path.read_bytes()
+        path.write_bytes(raw[:50] + b"X" + raw[51:])
+        ctx = make_ctx()
+        with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+            out = cache.apply_with_reuse(Strategy((C, O, S)), corpus, ctx)
+        assert f"evicting corrupt cache entry {entry.key}" in caplog.text
+        assert cache.stats() == {"entries": 3, "hits": 1, "team_invocations_saved": 1}
+        assert ctx.team_invocations == {O: 1, S: 1}
+        direct = apply_strategy(Strategy((C, O, S)), corpus, make_ctx())
+        assert out.canonical_lines() == direct.canonical_lines()
+        assert cache.verify() == []
+
     def test_prune_by_count(self, cache):
         corpus = messy_test_corpus(8)
         cache.apply_with_reuse(Strategy((C, O, S)), corpus, make_ctx())

@@ -397,6 +397,59 @@ class TestCacheErrors:
         assert main(["cache", command, "--cache-dir", str(root)]) == 1
         assert "cache error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["stats", "verify", "prune"])
+    def test_cache_command_on_missing_root_creates_nothing(self, tmp_path, capsys, command):
+        root = tmp_path / "nonexist" / "typo"
+        assert main(["cache", command, "--cache-dir", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cache error:") and err.count("\n") == 1
+        assert not (tmp_path / "nonexist").exists()
+
+    @pytest.mark.parametrize("flag, value", [("--max-entries", "-1"), ("--max-age-days", "-1"),
+                                             ("--max-age-days", "nan"),
+                                             ("--max-age-days", "inf")])
+    def test_prune_rejects_negative_or_non_finite_limit(self, tmp_path, corpus_path, capsys,
+                                                         flag, value):
+        root = tmp_path / "cache"
+        assert main(["apply", "--strategy", "Cleaning -> Selection", "--input", str(corpus_path),
+                     "--output", str(tmp_path / "out.jsonl"), "--cache-dir", str(root)]) == 0
+        before = sorted(root.rglob("*"))
+        assert len(list(root.glob("entries/*/meta.json"))) == 2
+        capsys.readouterr()
+        assert main(["cache", "prune", "--cache-dir", str(root), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert sorted(root.rglob("*")) == before
+
+    def test_entry_naming_a_file_outside_the_root_is_skipped(self, tmp_path, corpus_path,
+                                                            capsys):
+        root = tmp_path / "shared" / "cache"
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "first")]) == 0
+        expected = (tmp_path / "first" / "final_dataset.jsonl").read_bytes()
+        victim = tmp_path / "victim"
+        victim.mkdir()
+        for name in ("meta.json", "data.jsonl"):
+            (victim / name).write_text("keep\n", encoding="utf-8")
+        metas = sorted(root.glob("entries/*/meta.json"))
+        assert metas
+        for meta_path in metas:  # root/../../victim is tmp_path/victim
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta["storage_path"] = "../../victim/data.jsonl"
+            meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+        def victim_intact() -> bool:
+            return all((victim / name).read_text(encoding="utf-8") == "keep\n"
+                       for name in ("meta.json", "data.jsonl"))
+
+        assert main(["cache", "verify", "--cache-dir", str(root)]) == 0
+        assert victim_intact()
+        assert main(["cache", "prune", "--cache-dir", str(root), "--max-entries", "0"]) == 0
+        assert victim_intact()
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "second")]) == 0
+        assert victim_intact()
+        assert (tmp_path / "second" / "final_dataset.jsonl").read_bytes() == expected
+
     def test_prune_while_locked_exits_1(self, tmp_path, capsys):
         root = tmp_path / "cache"
         with CacheLock(root):

@@ -466,35 +466,48 @@ def template_generator() -> ScriptedModelClient:
     return ScriptedModelClient("generator", fn)
 
 
+def recording_trim_optimizer(requests: list[dict]) -> ScriptedModelClient:
+    def fn(req):
+        requests.append(dict(req))
+        return {"text": req["text"].strip(), "status": "ok"}
+
+    return ScriptedModelClient("optimizer", fn)
+
+
 class TestOptimizeSample:
-    def test_scripted_trim_on_question(self):
-        sample = Sample(id="x", question="  q  ", answer="a")
-        out = optimize_sample(sample, "question", trim_optimizer())
-        assert (out.question, out.answer) == ("q", "a")
-        assert out.meta["optimized"] == "question"
+    @pytest.mark.parametrize(
+        "question, answer, optimized",
+        [(" q ", " a ", "both"), (" q ", "", "question"), ("", " a ", "answer")],
+        ids=["both", "question-only", "answer-only"],
+    )
+    def test_rewrites_every_non_empty_field_question_first(self, question, answer, optimized):
+        requests: list[dict] = []
+        sample = Sample(id="x", question=question, answer=answer)
+        out = optimize_sample(sample, recording_trim_optimizer(requests), seed=5)
+        expected = [
+            {"role": "optimizer", "mode": name, "text": text, "seed": 5}
+            for name, text in (("question", question), ("answer", answer))
+            if text
+        ]
+        assert requests == expected
+        assert all(list(req) == ["role", "mode", "text", "seed"] for req in requests)
+        assert (out.question, out.answer) == (question.strip(), answer.strip())
+        assert out.meta == {"optimized": optimized}
 
-    def test_answer_mode_leaves_question_byte_identical(self):
-        sample = Sample(id="x", question="  q  ", answer=" a ")
-        out = optimize_sample(sample, "answer", trim_optimizer())
-        assert out.question == "  q  "
-        assert out.answer == "a"
-
-    def test_both_mode(self):
-        sample = Sample(id="x", question=" q ", answer=" a ")
-        out = optimize_sample(sample, "both", trim_optimizer())
-        assert (out.question, out.answer) == ("q", "a")
+    def test_sample_without_text_makes_no_call(self):
+        client = trim_optimizer()
+        sample = Sample(id="x", question="", answer="", meta={"k": 1})
+        assert optimize_sample(sample, client) is sample
+        assert client.calls == 0
 
     def test_client_error_passes_through_with_flag(self):
         failing = ScriptedModelClient("optimizer", lambda req: {"status": "error"})
         sample = Sample(id="x", question="q text", answer="a text")
-        out = optimize_sample(sample, "question", failing)
+        out = optimize_sample(sample, failing)
         assert out.question == sample.question
         assert out.answer == sample.answer
         assert "optimize_error" in out.meta
-
-    def test_empty_target_rejected(self):
-        with pytest.raises(ValueError):
-            optimize_sample(Sample(id="x", question="", answer="a"), "question", trim_optimizer())
+        assert "optimized" not in out.meta
 
 
 class TestGenerateMissing:

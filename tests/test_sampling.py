@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -144,6 +145,49 @@ class TestStratumCounts:
         # both strata round 0.5 up; the global target of 1 absorbs in one
         clean_take, noisy_take = stratum_counts(1, 1, 0.5)
         assert clean_take + noisy_take == 1
+
+    def test_equals_adjustment_loop_on_grid(self):
+        rates = [k / 200 for k in range(1, 201)]
+        rates += [1 / 3, 2 / 3, 1 / 7, 0.1 + 0.2, 1e-9, 1 - 1e-12]
+        grid = [(n_clean, n_noisy) for n_clean in range(81) for n_noisy in range(81)]
+        for rate in rates:
+            got = [stratum_counts(*sizes, rate) for sizes in grid]
+            assert got == [stratum_counts_by_loop(*sizes, rate) for sizes in grid], rate
+
+    @pytest.mark.parametrize("rate", [0.0, -0.2, 1.0000001, 2.0, float("nan"), float("inf")])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError):
+            stratum_counts(6, 4, rate)
+
+
+def stratum_counts_by_loop(n_clean: int, n_noisy: int, rate: float) -> tuple[int, int]:
+    """The earlier rule, kept as the oracle: clamp each stratum's rounded
+    take, then step the larger stratum (or, when it is at a bound, the other)
+    one sample at a time until the pair meets the rounded global target."""
+    def round_half_up(x: float) -> int:
+        return int(math.floor(x + 0.5))
+
+    total_target = round_half_up(rate * (n_clean + n_noisy))
+    take_clean = min(n_clean, round_half_up(rate * n_clean))
+    take_noisy = min(n_noisy, round_half_up(rate * n_noisy))
+    diff = total_target - (take_clean + take_noisy)
+    if diff != 0:
+        clean_is_larger = n_clean >= n_noisy
+        for _ in range(abs(diff)):
+            step = 1 if diff > 0 else -1
+            if clean_is_larger:
+                adjusted = take_clean + step
+                if 0 <= adjusted <= n_clean:
+                    take_clean = adjusted
+                else:
+                    take_noisy = min(max(take_noisy + step, 0), n_noisy)
+            else:
+                adjusted = take_noisy + step
+                if 0 <= adjusted <= n_noisy:
+                    take_noisy = adjusted
+                else:
+                    take_clean = min(max(take_clean + step, 0), n_clean)
+    return take_clean, take_noisy
 
 
 class TestStratifiedSample:
