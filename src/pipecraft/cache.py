@@ -80,6 +80,8 @@ class StrategyCache:
         self._saved = 0
         for meta in sorted((self.root / ENTRIES_DIR).glob(f"*/{META_FILE}")):
             try:
+                if meta.parent.is_symlink():  # its files may lie outside the root
+                    raise ValueError(f"entry directory {meta.parent.name} is a symlink")
                 entry = from_json(CacheEntry, json.loads(meta.read_text(encoding="utf-8")), "meta")
                 entry_dir = self._entry_dir(entry.key, entry.base_fingerprint)
                 if meta.parent != entry_dir or entry.storage_path != self._storage_path(entry_dir):
@@ -121,6 +123,8 @@ class StrategyCache:
                     f"cache already holds a different result for {key!r}"
                 )
             entry_dir = self._entry_dir(key, base_fingerprint)
+            if entry_dir.is_symlink():  # skipped when opened; never write through it
+                entry_dir.unlink()
             entry_dir.mkdir(parents=True, exist_ok=True)
             save_dataset(result, entry_dir / DATA_FILE)
             entry = CacheEntry(

@@ -17,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .agent import HillClimbAgent, SearchError, run_search
-from .cache import CacheError, CacheLock, StrategyCache
+from .cache import ENTRIES_DIR, CacheError, CacheLock, StrategyCache
 from .clients import HttpAgentClient, HttpEmbeddingClient, HttpScreenerClient, HttpTrainerClient
 from .config import ConfigError, RunConfig, load_run_config, run_config_from
 from .corpus import DatasetError, load_dataset, save_dataset
@@ -27,7 +27,7 @@ from .report import build_report, format_report_text, load_report, write_report
 from .sampling import EmbeddingError, stratified_sample
 from .screener import Screener
 from .strategy import StrategyParseError, enumerate_space, parse_strategy
-from .textstats import text_profile
+from .textstats import clear_run_memos
 from .timing import PhaseTimer
 
 EXIT_OK = 0
@@ -63,7 +63,7 @@ def build_context(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    text_profile.cache_clear()  # the profile memo lasts one run
+    clear_run_memos()  # the text memos last one run
     try:
         run_cfg = load_run_config(args.config)
         if not run_cfg.dataset:
@@ -116,7 +116,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     finally:
-        text_profile.cache_clear()
+        clear_run_memos()
     print(format_report_text(report))
     return EXIT_OK
 
@@ -184,7 +184,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print("config error: --max-entries and --max-age-days must be finite and "
               "non-negative", file=sys.stderr)
         return EXIT_CONFIG
-    if not Path(args.cache_dir).is_dir():
+    if not (Path(args.cache_dir) / ENTRIES_DIR).is_dir():
         print(f"cache error: {args.cache_dir} is not a cache directory", file=sys.stderr)
         return EXIT_RUNTIME
     try:

@@ -14,6 +14,8 @@ import math
 import tempfile
 import threading
 import time
+from bisect import bisect_right
+from itertools import count
 from pathlib import Path
 
 from .config import DEFAULT_PROXY_WEIGHTS, EvalConfig, OperatorConfig
@@ -29,19 +31,37 @@ class EvaluationError(RuntimeError):
 
 def _containment_duplicate_ratio(texts: list[str]) -> float:
     """Fraction of samples whose text equals, contains, or is contained in an
-    earlier sample's text. Quadratic; intended for the desk-scale corpora the
-    proxy evaluates."""
+    earlier sample's text; an empty text never contains or is contained.
+
+    Each distinct non-empty text is searched once, in the joined run of the
+    strictly longer distinct texts; each holder found flags whichever of the
+    pair came later."""
     if len(texts) < 2:
         return 0.0
-    duplicates = 0
-    for j in range(1, len(texts)):
-        tj = texts[j]
-        for i in range(j):
-            ti = texts[i]
-            if ti == tj or (ti and tj and (ti in tj or tj in ti)):
-                duplicates += 1
-                break
-    return duplicates / len(texts)
+    first: dict[str, int] = {}
+    for index, text in enumerate(texts):
+        first.setdefault(text, index)
+    distinct = sorted((text for text in first if text), key=len)
+    used = set("".join(distinct))
+    # a separator no text contains, so no match can span two texts
+    separator = next(chr(code) for code in count() if chr(code) not in used)
+    joined = separator.join(distinct)
+    lengths = [len(text) for text in distinct]
+    starts = [0]
+    for length in lengths[:-1]:
+        starts.append(starts[-1] + length + 1)
+    flagged: set[str] = set()
+    for text in distinct:
+        longer = bisect_right(lengths, len(text))
+        if longer == len(distinct):
+            break
+        position = joined.find(text, starts[longer])
+        while position >= 0:
+            holder = bisect_right(starts, position) - 1
+            container = distinct[holder]
+            flagged.add(text if first[container] < first[text] else container)
+            position = joined.find(text, starts[holder] + lengths[holder] + 1)
+    return (len(texts) - len(first) + len(flagged)) / len(texts)
 
 
 def proxy_components(dataset: Dataset, cfg: OperatorConfig) -> tuple[float, float, float, float]:

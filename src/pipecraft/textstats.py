@@ -1,8 +1,9 @@
 """Text-level quality metrics shared by cleaning filters, the screener, and scoring.
 
-A text's threshold statistics are computed once per run: :func:`text_profile`
-memoizes them in a bounded memo, cleared when each run starts and ends, that
-holds only pure functions of its key and so never changes an output.
+A text is cleaned, and its threshold statistics computed, once per run:
+:func:`clean_text` and :func:`text_profile` each keep a bounded memo, cleared
+by :func:`clear_run_memos` when each run starts and ends. A memo holds only
+pure functions of its key and so never changes an output.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ _CJK_CLASS = "".join(f"{chr(lo)}-{chr(hi)}" for lo, hi in _CJK_RANGES)
 # one CJK codepoint, or a run of characters that are neither whitespace nor CJK
 _TOKEN_RE = re.compile(rf"[{_CJK_CLASS}]|[^\s{_CJK_CLASS}]+")
 
-# distinct (text, n) pairs whose profile a run keeps
+# distinct keys each per-run memo keeps: texts, or (text, n) pairs
 PROFILE_MEMO_SIZE = 1 << 15
 
 REASON_SPECIAL_CHARS = "special-char-ratio"
@@ -53,6 +54,7 @@ def _clean_once(text: str) -> str:
     return text.strip()
 
 
+@lru_cache(maxsize=PROFILE_MEMO_SIZE)
 def clean_text(text: str) -> str:
     """Remove markup tags, entity escapes, and control characters; collapse
     whitespace runs. Iterates to a fixed point so the result is idempotent
@@ -131,9 +133,20 @@ class TextProfile(NamedTuple):
 @lru_cache(maxsize=PROFILE_MEMO_SIZE)
 def text_profile(text: str, n: int) -> TextProfile:
     """Memoized profile of ``text``; keyed on the text itself, so two texts
-    never share an entry. Clear with ``text_profile.cache_clear()``."""
+    never share an entry."""
     tokens = tokenize(text)
     return TextProfile(special_char_ratio(text), len(tokens), _repetition(tokens, n))
+
+
+# bound at import, so the functions' own memos are reached even where a
+# caller has rebound the module names, for instance to wrap them
+_RUN_MEMOS = (clean_text, text_profile)
+
+
+def clear_run_memos() -> None:
+    """Empty the per-run memos of :func:`clean_text` and :func:`text_profile`."""
+    for memo in _RUN_MEMOS:
+        memo.cache_clear()
 
 
 def violations(profile: TextProfile, cfg: OperatorConfig) -> list[str]:

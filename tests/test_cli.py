@@ -405,6 +405,16 @@ class TestCacheErrors:
         assert err.startswith("cache error:") and err.count("\n") == 1
         assert not (tmp_path / "nonexist").exists()
 
+    @pytest.mark.parametrize("command", ["stats", "verify", "prune"])
+    def test_cache_command_on_directory_that_is_not_a_cache_writes_nothing(self, tmp_path,
+                                                                           capsys, command):
+        root = tmp_path / "empty"
+        root.mkdir()
+        assert main(["cache", command, "--cache-dir", str(root)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"cache error: {root} is not a cache directory\n"
+        assert list(root.iterdir()) == []
+
     @pytest.mark.parametrize("flag, value", [("--max-entries", "-1"), ("--max-age-days", "-1"),
                                              ("--max-age-days", "nan"),
                                              ("--max-age-days", "inf")])
@@ -450,8 +460,32 @@ class TestCacheErrors:
         assert victim_intact()
         assert (tmp_path / "second" / "final_dataset.jsonl").read_bytes() == expected
 
+    def test_symlinked_entry_directory_is_skipped_and_replaced(self, tmp_path, corpus_path,
+                                                              capsys):
+        root = tmp_path / "shared" / "cache"
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "first")]) == 0
+        expected = (tmp_path / "first" / "final_dataset.jsonl").read_bytes()
+        entry_dir = sorted(root.glob("entries/*/meta.json"))[0].parent
+        outside = tmp_path / "outside"
+        entry_dir.rename(outside)
+        entry_dir.symlink_to(outside, target_is_directory=True)
+        kept = {path.name: path.read_bytes() for path in outside.iterdir()}
+        assert set(kept) == {"meta.json", "data.jsonl"}
+
+        def outside_intact() -> bool:
+            return {path.name: path.read_bytes() for path in outside.iterdir()} == kept
+
+        assert main(["cache", "prune", "--cache-dir", str(root), "--max-entries", "0"]) == 0
+        assert outside_intact()
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "second")]) == 0
+        assert outside_intact()
+        assert not entry_dir.is_symlink() and (entry_dir / "meta.json").is_file()
+        assert (tmp_path / "second" / "final_dataset.jsonl").read_bytes() == expected
+
     def test_prune_while_locked_exits_1(self, tmp_path, capsys):
         root = tmp_path / "cache"
+        (root / "entries").mkdir(parents=True)
         with CacheLock(root):
             assert main(["cache", "prune", "--cache-dir", str(root), "--max-entries", "0"]) == 1
         assert "locked" in capsys.readouterr().err

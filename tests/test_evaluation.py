@@ -11,13 +11,14 @@ from pipecraft.corpus import Dataset, Sample
 from pipecraft.evaluation import (
     EvaluationError,
     RunLog,
+    _containment_duplicate_ratio,
     evaluate_strategy,
     proxy_components,
     proxy_score,
 )
 from pipecraft.operators import ExecutionContext, apply_cleaning
 from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team
-from tests.conftest import clean_corpus, make_words
+from tests.conftest import clean_corpus, make_words, random_unicode
 from tests.test_operators import messy_test_corpus
 
 
@@ -74,6 +75,63 @@ class TestProxyScore:
             before = proxy_components(corpus, cfg)[0]
             after = proxy_components(cleaned, cfg)[0]
             assert after >= before
+
+
+def quadratic_duplicate_ratio(texts: list[str]) -> float:
+    """The definition, pair by pair: the fraction of samples whose text
+    equals, contains, or is contained in an earlier sample's text."""
+    if len(texts) < 2:
+        return 0.0
+    duplicates = 0
+    for j in range(1, len(texts)):
+        tj = texts[j]
+        for i in range(j):
+            ti = texts[i]
+            if ti == tj or (ti and tj and (ti in tj or tj in ti)):
+                duplicates += 1
+                break
+    return duplicates / len(texts)
+
+
+def containment_case(rng: random.Random) -> list[str]:
+    """Short texts over a small alphabet that holds the likeliest separator
+    characters, with exact copies and texts nested in earlier ones."""
+    alphabet = rng.choice(("ab", "a\0b", "\x01\0", "\u00e9\U0001F600a", "ab\0\x01\u00e9\U0001F600"))
+    texts: list[str] = []
+    for _ in range(rng.randint(0, 14)):
+        roll = rng.random()
+        if texts and roll < 0.15:
+            texts.append(rng.choice(texts))
+        elif texts and roll < 0.3:
+            inner = rng.choice(texts)
+            texts.append(random_unicode(rng, 2) + inner + "".join(rng.choices(alphabet, k=2)))
+        elif roll < 0.4:
+            texts.append(random_unicode(rng, 6))
+        else:
+            texts.append("".join(rng.choices(alphabet, k=rng.randint(0, 5))))
+    return texts
+
+
+class TestContainmentScan:
+    def test_matches_quadratic_oracle_on_random_unicode(self):
+        rng = random.Random(2024)
+        for _ in range(3000):
+            texts = containment_case(rng)
+            assert _containment_duplicate_ratio(texts) == quadratic_duplicate_ratio(texts), texts
+
+    def test_empty_text_never_contains_or_is_contained(self):
+        assert _containment_duplicate_ratio(["", "a", "b"]) == 0.0
+        assert _containment_duplicate_ratio(["a", "", ""]) == pytest.approx(1 / 3)
+        assert _containment_duplicate_ratio(["b", "ab", "abc", "x"]) == 0.5
+
+    @pytest.mark.parametrize("workload", ["replicated-2k", "distinct-3k"])
+    def test_uniqueness_matches_oracle_on_bench_corpora(self, bench_corpora, workload):
+        corpus = bench_corpora[workload]
+        subset = Dataset.from_samples(random.Random(7).sample(list(corpus), len(corpus) // 5))
+        for dataset in (corpus, subset):
+            texts = [sample.combined_text for sample in dataset]
+            uniqueness = proxy_components(dataset, OperatorConfig())[2]
+            assert uniqueness == 1.0 - quadratic_duplicate_ratio(texts)
 
 
 def proxy_ctx(cache=None, run_log=None) -> ExecutionContext:

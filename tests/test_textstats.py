@@ -364,17 +364,19 @@ class TestProfileAndViolations:
             ) / len(texts)
 
 
+@pytest.mark.parametrize("memo, args", [(clean_text, ()), (text_profile, (1,))],
+                         ids=["clean_text", "text_profile"])
 class TestProfileMemo:
-    def test_bounded(self):
-        text_profile.cache_clear()
+    def test_bounded(self, memo, args):
+        memo.cache_clear()
         for i in range(PROFILE_MEMO_SIZE + 10):
-            text_profile(f"t{i}", 1)
-        info = text_profile.cache_info()
+            memo(f"t{i}", *args)
+        info = memo.cache_info()
         assert info.maxsize == PROFILE_MEMO_SIZE
         assert info.currsize == PROFILE_MEMO_SIZE
-        text_profile.cache_clear()
+        memo.cache_clear()
 
-    def test_lasts_one_run(self, tmp_path, monkeypatch, capsys):
+    def test_lasts_one_run(self, tmp_path, monkeypatch, capsys, memo, args):
         corpus_path = tmp_path / "corpus.jsonl"
         save_dataset(messy_corpus(seed=10), corpus_path)
         config_path = tmp_path / "config.json"
@@ -382,14 +384,14 @@ class TestProfileMemo:
         sizes_at_start, sizes_at_end = [], []
         real_run_search = cli.run_search
 
-        def spy(*args, **kwargs):
-            sizes_at_start.append(text_profile.cache_info().currsize)
-            result = real_run_search(*args, **kwargs)
-            sizes_at_end.append(text_profile.cache_info().currsize)
+        def spy(*spy_args, **kwargs):
+            sizes_at_start.append(memo.cache_info().currsize)
+            result = real_run_search(*spy_args, **kwargs)
+            sizes_at_end.append(memo.cache_info().currsize)
             return result
 
         monkeypatch.setattr(cli, "run_search", spy)
-        text_profile("left over from an earlier run", 5)
+        memo("left over from an earlier run", *args)
         assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "r")]) == 0
         assert sizes_at_start == [0]
-        assert sizes_at_end[0] > 0 and text_profile.cache_info().currsize == 0
+        assert sizes_at_end[0] > 0 and memo.cache_info().currsize == 0
