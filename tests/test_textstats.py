@@ -364,19 +364,25 @@ class TestProfileAndViolations:
             ) / len(texts)
 
 
-@pytest.mark.parametrize("memo, args", [(clean_text, ()), (text_profile, (1,))],
-                         ids=["clean_text", "text_profile"])
-class TestProfileMemo:
-    def test_bounded(self, memo, args):
+class _RunMemoTests:
+    """Checks shared by the per-run memos; a subclass names the memo and the
+    arguments that follow the text."""
+
+    memo = None
+    args = ()
+
+    def test_bounded(self):
+        memo = self.memo
         memo.cache_clear()
         for i in range(PROFILE_MEMO_SIZE + 10):
-            memo(f"t{i}", *args)
+            memo(f"t{i}", *self.args)
         info = memo.cache_info()
         assert info.maxsize == PROFILE_MEMO_SIZE
         assert info.currsize == PROFILE_MEMO_SIZE
         memo.cache_clear()
 
-    def test_lasts_one_run(self, tmp_path, monkeypatch, capsys, memo, args):
+    def test_lasts_one_run(self, tmp_path, monkeypatch, capsys):
+        memo = self.memo
         corpus_path = tmp_path / "corpus.jsonl"
         save_dataset(messy_corpus(seed=10), corpus_path)
         config_path = tmp_path / "config.json"
@@ -384,14 +390,24 @@ class TestProfileMemo:
         sizes_at_start, sizes_at_end = [], []
         real_run_search = cli.run_search
 
-        def spy(*spy_args, **kwargs):
+        def spy(*args, **kwargs):
             sizes_at_start.append(memo.cache_info().currsize)
-            result = real_run_search(*spy_args, **kwargs)
+            result = real_run_search(*args, **kwargs)
             sizes_at_end.append(memo.cache_info().currsize)
             return result
 
         monkeypatch.setattr(cli, "run_search", spy)
-        memo("left over from an earlier run", *args)
+        memo("left over from an earlier run", *self.args)
         assert cli.main(["run", "--config", str(config_path), "--out", str(tmp_path / "r")]) == 0
         assert sizes_at_start == [0]
         assert sizes_at_end[0] > 0 and memo.cache_info().currsize == 0
+
+
+class TestProfileMemo(_RunMemoTests):
+    # staticmethod, so the memo is not bound to the test instance
+    memo = staticmethod(text_profile)
+    args = (1,)
+
+
+class TestCleanTextMemo(_RunMemoTests):
+    memo = staticmethod(clean_text)
