@@ -53,9 +53,7 @@ from .strategy import (
     Strategy,
     Team,
     enumerate_space,
-    is_prefix,
     parse_strategy,
-    split_at,
 )
 from .textstats import (
     clean_text,

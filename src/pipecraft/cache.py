@@ -27,7 +27,7 @@ from pathlib import Path
 from .config import from_json
 from .corpus import Dataset, DatasetError, load_dataset, save_dataset
 from .operators import ExecutionContext, apply_team
-from .strategy import Strategy, parse_strategy, strategy_key
+from .strategy import Strategy, strategy_key
 
 logger = logging.getLogger(__name__)
 
@@ -54,9 +54,6 @@ class CacheEntry:
     storage_path: str
     created_at: float
     producer_round: int
-
-    def strategy_value(self) -> Strategy:
-        return parse_strategy(self.strategy)
 
 
 class StrategyCache:
@@ -126,6 +123,9 @@ class StrategyCache:
             if entry_dir.is_symlink():  # skipped when opened; never write through it
                 entry_dir.unlink()
             entry_dir.mkdir(parents=True, exist_ok=True)
+            meta_tmp = entry_dir / f"{META_FILE}.tmp"
+            for stale in (entry_dir / DATA_FILE, meta_tmp):  # unlinks a symlink, not its target
+                stale.unlink(missing_ok=True)
             save_dataset(result, entry_dir / DATA_FILE)
             entry = CacheEntry(
                 key=key,
@@ -136,7 +136,6 @@ class StrategyCache:
                 created_at=time.time(),
                 producer_round=producer_round,
             )
-            meta_tmp = entry_dir / f"{META_FILE}.tmp"
             meta_tmp.write_text(
                 json.dumps(asdict(entry), sort_keys=True, indent=2) + "\n",
                 encoding="utf-8",

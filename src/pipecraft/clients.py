@@ -29,14 +29,20 @@ class ClientError(RuntimeError):
     """A client call failed after exhausting retries."""
 
 
-def post_json(endpoint: str, payload: dict, timeout: float = DEFAULT_TIMEOUT_S) -> dict:
-    """POST a JSON payload and decode the JSON response."""
+def post_json(endpoint: str, payload: dict) -> dict:
+    """POST a JSON payload and decode the JSON object it answers with."""
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}
     )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+    with urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT_S) as response:
+        try:
+            decoded = json.loads(response.read().decode("utf-8"))
+        except ValueError as exc:  # also UnicodeDecodeError
+            raise ClientError(f"{endpoint} answered with a body that is not JSON: {exc}") from exc
+    if not isinstance(decoded, dict):
+        raise ClientError(f"{endpoint} answered with JSON {type(decoded).__name__}, not an object")
+    return decoded
 
 
 class ModelClient(ABC):
@@ -141,14 +147,13 @@ class HeuristicScorer(ModelClient):
 
 
 class HttpModelClient(ModelClient):
-    def __init__(self, role: str, endpoint: str, timeout: float = DEFAULT_TIMEOUT_S) -> None:
+    def __init__(self, role: str, endpoint: str) -> None:
         super().__init__()
         self.role = role
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def _do_complete(self, request: dict) -> dict:
-        return post_json(self.endpoint, request, timeout=self.timeout)
+        return post_json(self.endpoint, request)
 
 
 class EmbeddingClient(ABC):
@@ -202,13 +207,12 @@ class HashingEmbedder(EmbeddingClient):
 
 
 class HttpEmbeddingClient(EmbeddingClient):
-    def __init__(self, endpoint: str, dimension: int, timeout: float = DEFAULT_TIMEOUT_S) -> None:
+    def __init__(self, endpoint: str, dimension: int) -> None:
         self.endpoint = endpoint
         self.dimension = dimension
-        self.timeout = timeout
 
     def embed(self, text: str) -> np.ndarray:
-        response = post_json(self.endpoint, {"text": text}, timeout=self.timeout)
+        response = post_json(self.endpoint, {"text": text})
         vector = np.asarray(response["vector"], dtype=np.float64)
         if vector.shape != (self.dimension,):
             raise ClientError(
@@ -227,14 +231,11 @@ class ScreenerClient(ABC):
 
 
 class HttpScreenerClient(ScreenerClient):
-    def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_S) -> None:
+    def __init__(self, endpoint: str) -> None:
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def classify(self, question: str, answer: str) -> int:
-        response = post_json(
-            self.endpoint, {"question": question, "answer": answer}, timeout=self.timeout
-        )
+        response = post_json(self.endpoint, {"question": question, "answer": answer})
         label = response.get("label")
         if label not in (0, 1):
             raise ClientError(f"screener endpoint returned label {label!r}")
@@ -256,9 +257,8 @@ class TrainerClient(ABC):
 
 
 class HttpTrainerClient(TrainerClient):
-    def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_S) -> None:
+    def __init__(self, endpoint: str) -> None:
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def evaluate(
         self, dataset_path: str, base_model: str, epochs: int, validation_set: str
@@ -271,7 +271,6 @@ class HttpTrainerClient(TrainerClient):
                 "epochs": epochs,
                 "validation_set": validation_set,
             },
-            timeout=self.timeout,
         )
         score = float(response["score"])
         if not 0.0 <= score <= 1.0:
@@ -292,15 +291,12 @@ class AgentClient(ABC):
 
 
 class HttpAgentClient(AgentClient):
-    def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT_S) -> None:
+    def __init__(self, endpoint: str) -> None:
         self.endpoint = endpoint
-        self.timeout = timeout
 
     def complete(self, messages: list[dict[str, str]], temperature: float, seed: int) -> str:
         response = post_json(
-            self.endpoint,
-            {"messages": messages, "temperature": temperature, "seed": seed},
-            timeout=self.timeout,
+            self.endpoint, {"messages": messages, "temperature": temperature, "seed": seed}
         )
         content = response.get("content")
         if not isinstance(content, str):

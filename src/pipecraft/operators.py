@@ -464,12 +464,10 @@ def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
         return select_high_quality(dataset, ctx.scorer, ctx.cfg.selection_keep_fraction, ctx.seed)
     if team is Team.OPTIMIZATION:
         process = partial(optimize_sample, client=ctx.optimizer, seed=ctx.seed)
-    elif team is Team.GENERATION:
+    else:  # Team.GENERATION
         clean, _ = ctx.screener.partition(dataset)
         shots = _generation_shots(clean, dataset)
         process = partial(generate_missing, shots=shots, client=ctx.generator, seed=ctx.seed)
-    else:
-        raise ValueError(f"unknown team {team!r}")
     return Dataset.from_samples(
         process(sample) if ctx.screener.classify(sample).is_noisy else sample for sample in dataset
     )

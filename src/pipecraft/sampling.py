@@ -54,8 +54,6 @@ def greedy_select(vectors: np.ndarray | list, n: int) -> list[int]:
     sums are maintained incrementally instead of recomputed each step.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim == 1:
-        vectors = vectors.reshape(len(vectors), 1) if len(vectors) else vectors.reshape(0, 0)
     count = vectors.shape[0]
     if not 0 <= n <= count:
         raise ValueError(f"cannot select {n} of {count} vectors")

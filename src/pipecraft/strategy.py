@@ -1,4 +1,4 @@
-"""Processing strategies: ordered team sequences, their search space, and prefix algebra.
+"""Processing strategies: ordered team sequences, their search space, and parsing.
 
 A strategy is an ordered sequence of zero to four distinct teams. The empty
 strategy is a first-class member of the space and means "leave the data
@@ -28,28 +28,11 @@ class Team(Enum):
         return f"Data {self.value} Team"
 
 
-TEAM_ORDER: tuple[Team, ...] = (
-    Team.CLEANING,
-    Team.OPTIMIZATION,
-    Team.GENERATION,
-    Team.SELECTION,
-)
+TEAM_ORDER: tuple[Team, ...] = tuple(Team)
 
 
 class StrategyParseError(ValueError):
-    """Base class for strategy parse failures."""
-
-
-class UnknownTeamError(StrategyParseError):
-    pass
-
-
-class DuplicateTeamError(StrategyParseError):
-    pass
-
-
-class TooManyTeamsError(StrategyParseError):
-    pass
+    """A strategy text or team sequence that names no valid strategy."""
 
 
 @dataclass(frozen=True, eq=True)
@@ -57,17 +40,13 @@ class Strategy:
     teams: tuple[Team, ...] = ()
 
     def __post_init__(self) -> None:
-        if len(self.teams) > MAX_TEAMS:
-            raise TooManyTeamsError(f"at most {MAX_TEAMS} teams, got {len(self.teams)}")
-        if len(set(self.teams)) != len(self.teams):
-            raise DuplicateTeamError(f"duplicate team in {self.teams}")
+        # Distinct teams also bound the length: Team has MAX_TEAMS members.
+        for i, team in enumerate(self.teams):
+            if team in self.teams[:i]:
+                raise StrategyParseError(f"team {team.value} listed twice")
 
     def __len__(self) -> int:
         return len(self.teams)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.teams
 
     def canonical(self) -> str:
         if not self.teams:
@@ -97,25 +76,10 @@ def enumerate_space() -> list[Strategy]:
     return space
 
 
-def is_prefix(a: Strategy, b: Strategy) -> bool:
-    return b.teams[: len(a.teams)] == a.teams
-
-
-def split_at(f: Strategy, k: int) -> tuple[Strategy, Strategy]:
-    if k < 0 or k > len(f.teams):
-        raise IndexError(f"split index {k} out of range for strategy of length {len(f)}")
-    return Strategy(f.teams[:k]), Strategy(f.teams[k:])
-
-
 _BULLET_RE = re.compile(r"^\s*(?:[-*•·–—]+|\(?\d+[.)]?)\s*")
 _NON_LETTER_RE = re.compile(r"[^a-z ]+")
 
-_TEAM_NAMES = {
-    "cleaning": Team.CLEANING,
-    "optimization": Team.OPTIMIZATION,
-    "generation": Team.GENERATION,
-    "selection": Team.SELECTION,
-}
+_TEAM_NAMES = {team.value.lower(): team for team in Team}
 
 
 def _normalize_team_name(part: str) -> str:
@@ -143,11 +107,8 @@ def parse_strategy(text: str) -> Strategy:
             continue
         name = _normalize_team_name(part)
         if name not in _TEAM_NAMES:
-            raise UnknownTeamError(f"unknown team name {part.strip()!r}")
-        team = _TEAM_NAMES[name]
-        if team in teams:
-            raise DuplicateTeamError(f"team {team.value} listed twice")
-        teams.append(team)
+            raise StrategyParseError(f"unknown team name {part.strip()!r}")
+        teams.append(_TEAM_NAMES[name])
     if not teams:
         raise StrategyParseError(f"no team names found in {text!r}")
     return Strategy(tuple(teams))

@@ -48,3 +48,20 @@ class ScriptedAgent(AgentClient):
         response = self._responses[self.calls]
         self.calls += 1
         return response
+
+
+class CannedResponse:
+    """Stands in for what ``urllib.request.urlopen`` returns: a context
+    manager whose ``read`` gives a fixed body."""
+
+    def __init__(self, body: bytes) -> None:
+        self.body = body
+
+    def __enter__(self) -> "CannedResponse":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def read(self) -> bytes:
+        return self.body

@@ -27,7 +27,7 @@ from pipecraft.operators import (
 from pipecraft.sampling import greedy_select, stratified_sample
 from pipecraft.screener import Screener
 from pipecraft.clients import HashingEmbedder
-from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team, enumerate_space
+from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team, enumerate_space, parse_strategy
 from pipecraft.synthetic import (
     landscape_cleaning,
     landscape_generation,
@@ -137,8 +137,8 @@ def test_criterion_03_prefix_reuse_soundness(tmp_path):
                 assert got is None
             else:
                 assert got is not None
-                assert len(got[0].strategy_value().teams) == len(
-                    query_oracle.strategy_value().teams
+                assert len(parse_strategy(got[0].strategy)) == len(
+                    parse_strategy(query_oracle.strategy)
                 )
             reused = cache.apply_with_reuse(f, corpus, fresh_ctx(cache=cache))
             key = f.canonical()
@@ -150,7 +150,7 @@ def test_criterion_03_prefix_reuse_soundness(tmp_path):
 
 
 def enacted_space() -> list[Strategy]:
-    return [f for f in enumerate_space() if not f.is_empty]
+    return [f for f in enumerate_space() if f != EMPTY_STRATEGY]
 
 
 def test_criterion_04_prefix_reuse_savings(tmp_path):

@@ -32,7 +32,7 @@ from pipecraft.strategy import (
     Strategy,
     Team,
     enumerate_space,
-    is_prefix,
+    parse_strategy,
     strategy_key,
 )
 from tests.conftest import clean_corpus
@@ -93,18 +93,22 @@ class TestOperatorRevision:
         assert reopened.find_longest_prefix(Strategy((C,)), "fp") is not None
 
 
+def is_prefix(a: Strategy, b: Strategy) -> bool:
+    return b.teams[: len(a.teams)] == a.teams
+
+
 def brute_force_longest_prefix(cache: StrategyCache, f: Strategy, base_fp: str):
     """Oracle: scan every entry, filter, take the longest prefix."""
     best = None
     for entry in cache.entries():
         if entry.base_fingerprint != base_fp:
             continue
-        strategy = entry.strategy_value()
+        strategy = parse_strategy(entry.strategy)
         if entry.key != strategy_key(strategy, cache.config_digest, cache.seed):
             continue
         if not is_prefix(strategy, f):
             continue
-        if best is None or len(strategy.teams) > len(best.strategy_value().teams):
+        if best is None or len(strategy) > len(parse_strategy(best.strategy)):
             best = entry
     return best
 
@@ -143,12 +147,12 @@ class TestFindLongestPrefix:
         bases = ["fpA", "fpB"]
         for i in range(30):
             strategy = rng.choice(space)
-            if strategy.is_empty:
+            if strategy == EMPTY_STRATEGY:
                 continue
             base = rng.choice(bases)
             if cache.find_longest_prefix(strategy, base) and cache.find_longest_prefix(
                 strategy, base
-            )[1].is_empty:
+            )[1] == EMPTY_STRATEGY:
                 continue  # already fully cached
             try:
                 cache.put(strategy, base, clean_corpus(3 + i % 5, seed=i))
@@ -163,10 +167,10 @@ class TestFindLongestPrefix:
                 assert got is None
             else:
                 entry, suffix = got
-                assert len(entry.strategy_value().teams) == len(
-                    expected.strategy_value().teams
+                assert len(parse_strategy(entry.strategy)) == len(
+                    parse_strategy(expected.strategy)
                 )
-                assert entry.strategy_value().teams + suffix.teams == query.teams
+                assert parse_strategy(entry.strategy).teams + suffix.teams == query.teams
 
 
 class TestApplyWithReuse:
@@ -208,7 +212,7 @@ class TestApplyWithReuse:
         for k in (1, 2, 3):
             prefix = Strategy(f.teams[:k])
             found = cache.find_longest_prefix(prefix, corpus.fingerprint)
-            assert found is not None and found[1].is_empty
+            assert found is not None and found[1] == EMPTY_STRATEGY
 
     def test_reuse_soundness_randomized(self, tmp_path):
         """Reused results are byte-identical to from-scratch application over
@@ -216,7 +220,7 @@ class TestApplyWithReuse:
         rng = random.Random(101)
         corpus = messy_test_corpus(4)
         cache = StrategyCache(tmp_path / "sound", OperatorConfig().digest(), seed=0)
-        space = [f for f in enumerate_space() if not f.is_empty]
+        space = [f for f in enumerate_space() if f != EMPTY_STRATEGY]
         for _ in range(40):
             f = rng.choice(space)
             reused = cache.apply_with_reuse(f, corpus, make_ctx())
@@ -348,6 +352,28 @@ class TestTornEntry:
         assert ctx.team_invocations == {O: 1}
         assert out.canonical_lines() == apply_strategy(f, corpus, make_ctx()).canonical_lines()
         assert len(StrategyCache(root, digest, seed=0).entries()) == 2
+
+    @pytest.mark.parametrize("leftover", [DATA_FILE, f"{META_FILE}.tmp"])
+    def test_put_never_writes_through_a_leftover_symlink(self, tmp_path, leftover):
+        """A directory without ``meta.json`` is not an entry, so a later
+        ``put`` of the same key fills it again. A file left there as a symlink
+        is replaced, and the file it points to keeps its contents."""
+        root, digest, corpus = tmp_path / "cache", OperatorConfig().digest(), clean_corpus(4, 1)
+        entry = StrategyCache(root, digest, seed=0).put(Strategy((C,)), "fp", corpus)
+        entry_dir = (root / entry.storage_path).parent
+        (entry_dir / META_FILE).unlink()
+        outside = tmp_path / "outside.txt"
+        outside.write_text("not the cache's\n", encoding="utf-8")
+        (entry_dir / leftover).unlink(missing_ok=True)
+        (entry_dir / leftover).symlink_to(outside)
+        cache = StrategyCache(root, digest, seed=0)
+        assert cache.entries() == []
+        entry = cache.put(Strategy((C,)), "fp", corpus)
+        assert outside.read_text(encoding="utf-8") == "not the cache's\n"
+        assert not any(path.is_symlink() for path in entry_dir.iterdir())
+        reopened = StrategyCache(root, digest, seed=0)
+        assert reopened.entries() == [entry]
+        assert reopened.load_entry(entry).canonical_lines() == corpus.canonical_lines()
 
     def test_lock_naming_dead_pid_does_not_block(self, tmp_path):
         root = tmp_path / "stale"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import urllib.request
 
 import pytest
 
@@ -22,6 +23,7 @@ from pipecraft.corpus import load_dataset, save_dataset
 from pipecraft.operators import ExecutionContext, apply_strategy
 from pipecraft.strategy import parse_strategy
 from pipecraft.synthetic import messy_corpus
+from tests.scripted_clients import CannedResponse
 
 
 @pytest.fixture
@@ -94,6 +96,15 @@ class TestApply:
     def test_bad_strategy_is_config_error(self, tmp_path, corpus_path):
         assert main(["apply", "--strategy", "Data Cooking Team",
                      "--input", str(corpus_path), "--output", str(tmp_path / "x")]) == 2
+
+    def test_duplicate_team_names_the_team(self, tmp_path, corpus_path, capsys):
+        out = tmp_path / "x"
+        assert main(["apply", "--strategy", "Cleaning, Cleaning",
+                     "--input", str(corpus_path), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: bad strategy: team Cleaning listed twice\n"
+        )
+        assert not out.exists()
 
     def test_missing_input_is_config_error(self, tmp_path):
         assert main(["apply", "--strategy", "NONE",
@@ -258,7 +269,7 @@ class TestOutputErrors:
     def test_run_embedder_failure(self, tmp_path, corpus_path, capsys, monkeypatch):
         monkeypatch.delenv(ENV_EMBEDDER_ENDPOINT, raising=False)
 
-        def unreachable(endpoint, payload, timeout=0.0):
+        def unreachable(endpoint, payload):
             raise OSError("connection refused")
 
         monkeypatch.setattr(clients, "post_json", unreachable)
@@ -312,7 +323,7 @@ class TestEnvironmentEndpoints:
                     ENV_TRAINER_ENDPOINT, ENV_CACHE_ROOT):
             monkeypatch.delenv(var, raising=False)
 
-        def refuse(endpoint, payload, timeout=0.0):
+        def refuse(endpoint, payload):
             raise OSError(f"connection refused: {endpoint}")
 
         monkeypatch.setattr(clients, "post_json", refuse)
@@ -333,6 +344,54 @@ class TestEnvironmentEndpoints:
                          "--output", str(tmp_path / "out.jsonl")]) == 0
         assert "remote screener failed" in caplog.text
         assert "http://screener.env/classify" in caplog.text
+
+
+class TestBadResponseBody:
+    """An endpoint answering with a body that is not a JSON object fails
+    like any other client: the agent and the embedder end the run with one
+    line, the trainer's baseline failure too, and the screener falls back to
+    its heuristic. ``urlopen`` is replaced, so no request leaves the process."""
+
+    @pytest.fixture(autouse=True)
+    def no_env_endpoints(self, monkeypatch):
+        for var in (ENV_AGENT_ENDPOINT, ENV_EMBEDDER_ENDPOINT, ENV_SCREENER_ENDPOINT,
+                    ENV_TRAINER_ENDPOINT, ENV_CACHE_ROOT):
+            monkeypatch.delenv(var, raising=False)
+
+    def run(self, tmp_path, corpus_path, monkeypatch, body, **overrides):
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout: CannedResponse(body))
+        config = write_config(tmp_path, corpus_path, **overrides)
+        return main(["run", "--config", str(config), "--out", str(tmp_path / "run")])
+
+    def assert_one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix)
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("body", [b"[]", b"<html>busy</html>", b"\xff\xfe"],
+                             ids=["list", "html", "not-utf8"])
+    def test_agent_exits_1(self, tmp_path, corpus_path, capsys, monkeypatch, body):
+        assert self.run(tmp_path, corpus_path, monkeypatch, body,
+                        endpoints={"agent": "http://agent.test/complete"}) == 1
+        self.assert_one_line(capsys, "run failed: agent client failed: ")
+
+    def test_embedder_exits_1(self, tmp_path, corpus_path, capsys, monkeypatch):
+        assert self.run(tmp_path, corpus_path, monkeypatch, b"[]",
+                        endpoints={"embedder": "http://embedder.test/embed"}) == 1
+        self.assert_one_line(capsys, "run failed: sampling failed: ")
+
+    def test_trainer_exits_1(self, tmp_path, corpus_path, capsys, monkeypatch):
+        assert self.run(tmp_path, corpus_path, monkeypatch, b"[]",
+                        evaluation={"mode": "trainer"},
+                        endpoints={"trainer": "http://trainer.test/evaluate"}) == 1
+        self.assert_one_line(capsys, "run failed: baseline evaluation failed: trainer failed: ")
+
+    def test_screener_falls_back(self, tmp_path, corpus_path, caplog, monkeypatch):
+        with caplog.at_level(logging.WARNING, logger="pipecraft.screener"):
+            assert self.run(tmp_path, corpus_path, monkeypatch, b"[]",
+                            endpoints={"screener": "http://screener.test/classify"}) == 0
+        assert "remote screener failed" in caplog.text
 
 
 class TestCacheCommands:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import urllib.request
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from pipecraft.clients import (
 )
 from pipecraft.synthetic import messy_corpus
 from tests.conftest import copies_corpus, random_unicode
-from tests.scripted_clients import ConstantScorer, ScriptedModelClient
+from tests.scripted_clients import CannedResponse, ConstantScorer, ScriptedModelClient
 
 
 class FlakyClient(ScriptedModelClient):
@@ -203,7 +204,7 @@ class TestWireContracts:
     def _capture(self, monkeypatch, response):
         seen = {}
 
-        def fake_post(endpoint, payload, timeout=0):
+        def fake_post(endpoint, payload):
             seen["endpoint"] = endpoint
             seen["payload"] = payload
             return response
@@ -272,3 +273,43 @@ class TestWireContracts:
         reply = client.complete(messages, temperature=0.6, seed=4)
         assert reply == "###Combination[1]###"
         assert seen["payload"] == {"messages": messages, "temperature": 0.6, "seed": 4}
+
+
+class TestPostJson:
+    """``post_json`` returns the JSON object an endpoint answers with and
+    raises ``ClientError`` for any other body. ``urlopen`` is replaced, so
+    no request leaves the process."""
+
+    def _answer(self, monkeypatch, body):
+        seen = {}
+
+        def fake_urlopen(request, timeout):
+            seen["request"], seen["timeout"] = request, timeout
+            return CannedResponse(body)
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        return seen
+
+    def test_object_body_is_returned(self, monkeypatch):
+        seen = self._answer(monkeypatch, b'{"label": 1}')
+        assert clients.post_json("http://svc/screen", {"question": "q"}) == {"label": 1}
+        assert seen["request"].data == b'{"question": "q"}'
+        assert seen["timeout"] == clients.DEFAULT_TIMEOUT_S
+
+    @pytest.mark.parametrize("body", [b"[]", b'"ok"', b"3", b"null"], ids=bytes.decode)
+    def test_json_that_is_not_an_object(self, monkeypatch, body):
+        self._answer(monkeypatch, body)
+        with pytest.raises(ClientError, match="not an object"):
+            clients.post_json("http://svc/screen", {})
+
+    @pytest.mark.parametrize("body", [b"<html>busy</html>", b"", b"\xff\xfe{}"],
+                             ids=["html", "empty", "not-utf8"])
+    def test_body_that_is_not_json(self, monkeypatch, body):
+        self._answer(monkeypatch, body)
+        with pytest.raises(ClientError, match="not JSON"):
+            clients.post_json("http://svc/screen", {})
+
+    def test_screener_client_sees_client_error(self, monkeypatch):
+        self._answer(monkeypatch, b"[]")
+        with pytest.raises(ClientError):
+            HttpScreenerClient("http://svc/screen").classify("q", "a")
