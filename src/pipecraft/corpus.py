@@ -1,14 +1,15 @@
 """QA corpus data model: samples, datasets, line-delimited storage, fingerprints.
 
-A dataset is an ordered, immutable collection of QA samples. Every dataset
-carries a content fingerprint computed over the canonical serialization of
-its samples, which is what the prefix-reuse cache keys on.
+A dataset is an ordered, immutable collection of QA samples. Its content
+fingerprint, over its samples' canonical lines, is what the prefix-reuse cache
+keys on; it is computed on first read, and each sample computes its line once.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping
 
@@ -26,7 +27,8 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True, eq=True)
 class Sample:
-    """One QA record. Empty question/answer means the field is missing."""
+    """One QA record. Empty question/answer means the field is missing.
+    Its canonical line is cached: change ``meta`` through :meth:`with_fields`, never in place."""
 
     id: str
     question: str = ""
@@ -52,6 +54,7 @@ class Sample:
     def combined_text(self) -> str:
         return self.question + "\n" + self.answer
 
+    @cached_property
     def canonical(self) -> str:
         """Canonical one-line JSON form: sorted keys, fixed separators."""
         record = {
@@ -84,17 +87,16 @@ def fingerprint_samples(samples: Iterable[Sample]) -> str:
     """SHA-256 over the canonical serialization, order-sensitive."""
     digest = hashlib.sha256()
     for sample in samples:
-        digest.update(sample.canonical().encode("utf-8"))
+        digest.update(sample.canonical.encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()
 
 
 @dataclass(frozen=True, eq=True)
 class Dataset:
-    """Ordered, immutable collection of samples plus a content fingerprint."""
+    """Ordered, immutable collection of samples."""
 
     samples: tuple[Sample, ...]
-    fingerprint: str
 
     @classmethod
     def from_samples(cls, samples: Iterable[Sample]) -> "Dataset":
@@ -104,7 +106,11 @@ class Dataset:
             if sample.id in seen:
                 raise DatasetError(f"duplicate sample id {sample.id!r}")
             seen.add(sample.id)
-        return cls(samples=samples, fingerprint=fingerprint_samples(samples))
+        return cls(samples)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return fingerprint_samples(self.samples)
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -114,9 +120,6 @@ class Dataset:
 
     def __getitem__(self, index: int) -> Sample:
         return self.samples[index]
-
-    def canonical_lines(self) -> list[str]:
-        return [sample.canonical() for sample in self.samples]
 
 
 def _parse_record(line: str, line_number: int) -> Sample:
@@ -156,7 +159,7 @@ def load_dataset(path: str | Path) -> Dataset:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     samples: list[Sample] = []
     seen: dict[str, int] = {}
@@ -177,5 +180,5 @@ def load_dataset(path: str | Path) -> Dataset:
 def save_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the canonical line-delimited form; loading it back is bit-exact."""
     path = Path(path)
-    body = "".join(line + "\n" for line in dataset.canonical_lines())
+    body = "".join(sample.canonical + "\n" for sample in dataset)
     path.write_text(body, encoding="utf-8")

@@ -14,7 +14,6 @@ from .clients import ScreenerClient
 from .config import OperatorConfig
 from .corpus import Dataset, Sample
 from .textstats import clean_text, text_profile, violations
-from .textstats import REASON_NGRAM, REASON_SPECIAL_CHARS, REASON_TOKEN_COUNT  # noqa: F401
 from .timing import NULL_TIMER, PhaseTimer
 
 logger = logging.getLogger(__name__)
@@ -25,7 +24,6 @@ LABEL_NOISY = 1
 REASON_MISSING_QUESTION = "missing-question"
 REASON_MISSING_ANSWER = "missing-answer"
 REASON_MARKUP = "markup"
-# the three threshold reasons (special-char, token-count, n-gram) come from textstats
 REASON_REMOTE_FALLBACK = "remote-fallback"
 
 

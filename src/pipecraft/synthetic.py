@@ -1,8 +1,8 @@
 """Deterministic synthetic QA corpora for demos and verification.
 
-Every builder is a pure function of its seed. The landscape builders create
-corpora whose quality defects favor particular processing teams, so a search
-over them has a known structure without any external service.
+Every builder is a pure function of its seed. A landscape builder creates a
+corpus whose quality defects favor particular processing teams, so a search
+over it has a known structure without any external service.
 """
 from __future__ import annotations
 
@@ -37,14 +37,6 @@ def make_sample(
     if answer is None:
         answer = _sentence(rng, answer_words, f"a{sample_id}")
     return Sample(id=sample_id, question=question, answer=answer)
-
-
-def perfect_corpus(n: int = 60, seed: int = 0) -> Dataset:
-    """Clean, complete, unique, adequate: every quality component is maximal."""
-    rng = random.Random(seed)
-    return Dataset.from_samples(
-        make_sample(f"p{i:04d}", rng, 22, 28) for i in range(n)
-    )
 
 
 def _special_violator(sample_id: str, rng: random.Random, specials: int = 120) -> Sample:
@@ -82,27 +74,6 @@ def messy_corpus(seed: int = 0) -> Dataset:
     return Dataset.from_samples(samples)
 
 
-def landscape_cleaning(seed: int = 0) -> Dataset:
-    """Duplicates and special-character violators on an otherwise perfect
-    corpus: dropping the bad records is the only winning move."""
-    rng = random.Random(seed)
-    samples: list[Sample] = []
-    for i in range(70):
-        samples.append(make_sample(f"c{i:04d}", rng, 20, 25))
-    # duplicate copies sit right behind their originals so positional
-    # selection cannot silently avoid them
-    with_dups: list[Sample] = []
-    for i, sample in enumerate(samples):
-        with_dups.append(sample)
-        if i < 15:
-            with_dups.append(
-                Sample(id=f"cdup{i:02d}", question=sample.question, answer=sample.answer)
-            )
-    for i in range(15):
-        with_dups.append(_special_violator(f"cbad{i:02d}", rng))
-    return Dataset.from_samples(with_dups)
-
-
 def landscape_generation(seed: int = 0) -> Dataset:
     """Missing answers dominate: filling the gaps and then cleaning out the
     special-character violators is the winning line. Complete samples are
@@ -116,16 +87,4 @@ def landscape_generation(seed: int = 0) -> Dataset:
     for i in range(25):
         samples.append(_special_violator(f"gbad{i:02d}", rng))
     rng.shuffle(samples)
-    return Dataset.from_samples(samples)
-
-
-def landscape_optimization(seed: int = 0) -> Dataset:
-    """Special-character violators carry the corpus's only long, adequate
-    texts; rewriting them beats dropping them."""
-    rng = random.Random(seed)
-    samples: list[Sample] = []
-    for i in range(70):
-        samples.append(make_sample(f"o{i:04d}", rng, 6, 6))
-    for i in range(30):
-        samples.append(_special_violator(f"obad{i:02d}", rng, specials=140))
     return Dataset.from_samples(samples)

@@ -29,6 +29,11 @@ def bench_corpora() -> dict[str, Dataset]:
             "distinct-3k": corpora.distinct(44, 3000)}
 
 
+def lines(dataset: Dataset) -> list[str]:
+    """The dataset's canonical lines, as ``save_dataset`` writes them."""
+    return [sample.canonical for sample in dataset]
+
+
 def make_words(rng: random.Random, n: int) -> str:
     bank = (
         "alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo "

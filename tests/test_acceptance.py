@@ -28,14 +28,9 @@ from pipecraft.sampling import greedy_select, stratified_sample
 from pipecraft.screener import Screener
 from pipecraft.clients import HashingEmbedder
 from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team, enumerate_space, parse_strategy
-from pipecraft.synthetic import (
-    landscape_cleaning,
-    landscape_generation,
-    landscape_optimization,
-    messy_corpus,
-    perfect_corpus,
-)
-from tests.conftest import clean_sample, make_words
+from pipecraft.synthetic import landscape_generation, messy_corpus
+from tests.conftest import clean_sample, lines, make_words
+from tests.landscapes import landscape_cleaning, landscape_optimization, perfect_corpus
 from tests.test_agent import compute_feedback
 from tests.test_cache import brute_force_longest_prefix
 from tests.test_operators import exact_jaccard
@@ -145,7 +140,7 @@ def test_criterion_03_prefix_reuse_soundness(tmp_path):
             if key not in direct_results:
                 direct = apply_strategy(f, corpus, fresh_ctx())
                 direct_results[key] = direct.fingerprint
-                assert reused.canonical_lines() == direct.canonical_lines()
+                assert lines(reused) == lines(direct)
             assert reused.fingerprint == direct_results[key]
 
 

@@ -35,7 +35,7 @@ from pipecraft.strategy import (
     parse_strategy,
     strategy_key,
 )
-from tests.conftest import clean_corpus
+from tests.conftest import clean_corpus, lines
 from tests.test_operators import messy_test_corpus
 
 C, O, G, S = Team.CLEANING, Team.OPTIMIZATION, Team.GENERATION, Team.SELECTION
@@ -56,7 +56,7 @@ class TestPutGet:
         entry = cache.put(Strategy((C,)), "base-fp", corpus)
         assert cache.load_entry(entry).fingerprint == corpus.fingerprint
         stored = load_dataset(cache.root / entry.storage_path)
-        assert stored.canonical_lines() == corpus.canonical_lines()
+        assert lines(stored) == lines(corpus)
 
     def test_idempotent_reput(self, cache):
         corpus = clean_corpus(4, seed=1)
@@ -226,7 +226,7 @@ class TestApplyWithReuse:
             reused = cache.apply_with_reuse(f, corpus, make_ctx())
             direct = apply_strategy(f, corpus, make_ctx())
             assert reused.fingerprint == direct.fingerprint
-            assert reused.canonical_lines() == direct.canonical_lines()
+            assert lines(reused) == lines(direct)
 
 
 class TestStats:
@@ -308,7 +308,7 @@ class TestTornEntry:
             assert {e.strategy for e in cache.entries()} == loaded
             assert bool(caplog.records) == (not decodes)
             out = cache.apply_with_reuse(f, corpus, make_ctx())
-            assert out.canonical_lines() == direct.canonical_lines()
+            assert lines(out) == lines(direct)
             reopened = StrategyCache(root, digest, seed=0)
             assert {e.strategy for e in reopened.entries()} == prefixes
 
@@ -350,7 +350,7 @@ class TestTornEntry:
         ctx = make_ctx()
         out = cache.apply_with_reuse(f, corpus, ctx)
         assert ctx.team_invocations == {O: 1}
-        assert out.canonical_lines() == apply_strategy(f, corpus, make_ctx()).canonical_lines()
+        assert lines(out) == lines(apply_strategy(f, corpus, make_ctx()))
         assert len(StrategyCache(root, digest, seed=0).entries()) == 2
 
     @pytest.mark.parametrize("leftover", [DATA_FILE, f"{META_FILE}.tmp"])
@@ -373,7 +373,7 @@ class TestTornEntry:
         assert not any(path.is_symlink() for path in entry_dir.iterdir())
         reopened = StrategyCache(root, digest, seed=0)
         assert reopened.entries() == [entry]
-        assert reopened.load_entry(entry).canonical_lines() == corpus.canonical_lines()
+        assert lines(reopened.load_entry(entry)) == lines(corpus)
 
     def test_lock_naming_dead_pid_does_not_block(self, tmp_path):
         root = tmp_path / "stale"
@@ -433,7 +433,7 @@ class TestTornEntry:
             out = cache.apply_with_reuse(Strategy((C, O, S, G)), corpus, ctx)
         assert ctx.team_invocations == {G: 1}
         direct = apply_strategy(Strategy((C, O, S, G)), corpus, make_ctx())
-        assert out.canonical_lines() == direct.canonical_lines()
+        assert lines(out) == lines(direct)
         assert (root / "index.jsonl").read_text(encoding="utf-8") == index
 
 
@@ -473,7 +473,7 @@ class TestIntegrity:
         assert cache.stats() == {"entries": 3, "hits": 1, "team_invocations_saved": 1}
         assert ctx.team_invocations == {O: 1, S: 1}
         direct = apply_strategy(Strategy((C, O, S)), corpus, make_ctx())
-        assert out.canonical_lines() == direct.canonical_lines()
+        assert lines(out) == lines(direct)
         assert cache.verify() == []
 
     def test_prune_by_count(self, cache):

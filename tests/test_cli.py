@@ -313,6 +313,72 @@ class TestLoneSurrogate:
         self.assert_one_line(capsys, "config error: ")
 
 
+class TestInvalidUtf8:
+    """Bytes that are not valid UTF-8 are a bad input, never a traceback: a
+    dataset fails ``run`` with exit 1 and ``apply`` and ``sample`` with exit 2,
+    a config fails ``run`` with exit 2, and a cached ``data.jsonl`` is a
+    corrupt entry."""
+
+    @pytest.fixture
+    def bad_corpus(self, tmp_path, corpus_path):
+        path = tmp_path / "bad-bytes.jsonl"
+        path.write_bytes(corpus_path.read_bytes() + b"\xff\n")
+        return path
+
+    def assert_one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + "cannot read ")
+        assert "0xff" in err
+        assert len(err.splitlines()) == 1
+
+    def corrupt_cache(self, run_dir):
+        data_files = sorted((run_dir / "cache").glob("entries/*/data.jsonl"))
+        assert data_files
+        for path in data_files:
+            path.write_bytes(path.read_bytes() + b"\xff")
+
+    def test_run_exits_1(self, tmp_path, bad_corpus, capsys):
+        config = write_config(tmp_path, bad_corpus)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        self.assert_one_line(capsys, "run failed: ")
+
+    def test_apply_exits_2(self, tmp_path, bad_corpus, capsys):
+        assert main(["apply", "--strategy", "Cleaning", "--input", str(bad_corpus),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        self.assert_one_line(capsys, "config error: ")
+
+    def test_sample_exits_2(self, tmp_path, bad_corpus, capsys):
+        assert main(["sample", "--input", str(bad_corpus),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        self.assert_one_line(capsys, "config error: ")
+
+    def test_run_config_exits_2(self, tmp_path, corpus_path, capsys):
+        config = write_config(tmp_path, corpus_path)
+        config.write_bytes(config.read_bytes() + b"\xff")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        self.assert_one_line(capsys, "config error: ")
+
+    def test_run_recomputes_corrupt_cache_entry(self, tmp_path, corpus_path, capsys, caplog):
+        config = write_config(tmp_path, corpus_path)
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+        first = (run_dir / "final_dataset.jsonl").read_bytes()
+        self.corrupt_cache(run_dir)
+        with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+            assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+        assert "evicting corrupt cache entry" in caplog.text
+        assert (run_dir / "final_dataset.jsonl").read_bytes() == first
+
+    def test_cache_verify_counts_mismatch(self, tmp_path, corpus_path, capsys):
+        config = write_config(tmp_path, corpus_path)
+        run_dir = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(run_dir)]) == 0
+        self.corrupt_cache(run_dir)
+        entries = len(list((run_dir / "cache").glob("entries/*/meta.json")))
+        assert main(["cache", "verify", "--cache-dir", str(run_dir / "cache")]) == 1
+        assert capsys.readouterr().out.count("mismatch:") == entries
+
+
 class TestEnvironmentEndpoints:
     """``apply`` and ``sample`` read the endpoint variables, as ``run`` does.
     Every HTTP call is refused here without touching the network."""

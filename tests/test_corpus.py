@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
+from pipecraft.cache import StrategyCache
+from pipecraft.cli import main
+from pipecraft.config import OperatorConfig
 from pipecraft.corpus import (
     Dataset,
     DatasetError,
@@ -13,6 +18,9 @@ from pipecraft.corpus import (
     load_dataset,
     save_dataset,
 )
+from pipecraft.operators import ExecutionContext
+from pipecraft.strategy import enumerate_space
+from pipecraft.synthetic import messy_corpus
 
 
 def test_load_empty_file(tmp_path):
@@ -157,3 +165,62 @@ def test_escaped_astral_pair_loads(tmp_path):
     path = tmp_path / "pair.jsonl"
     path.write_text('{"id": "x", "answer": "smile \\ud83d\\ude00"}\n', encoding="utf-8")
     assert load_dataset(path)[0].answer == "smile \U0001F600"
+
+
+def fresh_line(sample: Sample) -> str:
+    """The canonical line computed from the sample's fields as they are now."""
+    record = {"id": sample.id, "question": sample.question, "answer": sample.answer,
+              "meta": sample.meta}
+    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def test_building_a_dataset_serializes_nothing():
+    rng = random.Random(7)
+    samples = [_random_sample(rng, i) for i in range(20)]
+    dataset = Dataset.from_samples(samples)
+    assert all("canonical" not in vars(sample) for sample in samples)
+    assert "fingerprint" not in vars(dataset)
+    assert dataset.fingerprint == fingerprint_samples(samples)
+
+
+def test_no_strategy_changes_a_sample_in_place(tmp_path):
+    """Each sample caches its canonical line, so every team must copy a sample
+    it changes. Every strategy runs through a cache, so each team's input lines
+    were cached (by the previous ``put`` or by the cache load) before it ran."""
+    corpus = messy_corpus(seed=0)
+    before = [fresh_line(sample) for sample in corpus]
+    assert [sample.canonical for sample in corpus] == before
+    ctx = ExecutionContext.with_defaults(OperatorConfig())
+    cache = StrategyCache(tmp_path, OperatorConfig().digest(), seed=0)
+    for strategy in enumerate_space():
+        out = cache.apply_with_reuse(strategy, corpus, ctx)
+        assert all(sample.canonical == fresh_line(sample) for sample in out), strategy
+        assert [fresh_line(sample) for sample in corpus] == before, strategy
+
+
+def test_run_serializes_each_sample_at_most_once(tmp_path, capsys, monkeypatch, bench_corpora):
+    """Counted per ``Sample`` object over a full ``pipecraft run`` of the
+    ``distinct-3k`` bench corpus; the objects are kept alive so no id is
+    reused."""
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_dataset(bench_corpora["distinct-3k"], corpus_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(
+        json.dumps({"dataset": str(corpus_path), "sampling_rate": 0.2, "seed": 0}),
+        encoding="utf-8",
+    )
+    compute = vars(Sample)["canonical"].func
+    counts: Counter[int] = Counter()
+    seen: list[Sample] = []
+
+    def counted(sample: Sample) -> str:
+        counts[id(sample)] += 1
+        seen.append(sample)
+        return compute(sample)
+
+    line = cached_property(counted)
+    line.__set_name__(Sample, "canonical")
+    monkeypatch.setattr(Sample, "canonical", line)
+    assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "run")]) == 0
+    assert len(counts) >= 3000
+    assert max(counts.values()) == 1

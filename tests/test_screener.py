@@ -8,10 +8,10 @@ from pipecraft.operators import apply_cleaning, minhash_dedup
 from pipecraft.screener import (
     REASON_MARKUP,
     REASON_MISSING_ANSWER,
-    REASON_NGRAM,
     REASON_REMOTE_FALLBACK,
     Screener,
 )
+from pipecraft.textstats import REASON_NGRAM
 from tests.conftest import clean_corpus, clean_sample, make_words
 
 

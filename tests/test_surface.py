@@ -18,9 +18,6 @@ PACKAGE = ROOT / "src" / "pipecraft"
 # Kept although no program names them, each for the reason given.
 ALLOWED = {
     "HttpModelClient": "wire client for the remote operator models of ROADMAP item 4",
-    "landscape_cleaning": "search landscape of acceptance criterion 08 (convergence)",
-    "landscape_optimization": "search landscape of acceptance criterion 08 (convergence)",
-    "perfect_corpus": "corpus of acceptance criterion 09 (no processing required)",
 }
 
 
