@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import urllib.request
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -31,6 +30,8 @@ class ClientError(RuntimeError):
 
 def post_json(endpoint: str, payload: dict) -> dict:
     """POST a JSON payload and decode the JSON object it answers with."""
+    import urllib.request  # here, so runs with no endpoint never load http.client or ssl
+
     body = json.dumps(payload).encode("utf-8")
     request = urllib.request.Request(
         endpoint, data=body, headers={"Content-Type": "application/json"}

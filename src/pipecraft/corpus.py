@@ -158,9 +158,17 @@ def load_dataset(path: str | Path) -> Dataset:
     """Load a UTF-8 line-delimited record file, one sample per non-blank line."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        data = path.read_bytes()
+    except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(
+            f"cannot read dataset {path}: line {line_number}: "
+            f"byte 0x{data[exc.start]:02x} is not valid UTF-8 ({exc.reason})"
+        ) from exc
     samples: list[Sample] = []
     seen: dict[str, int] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -174,7 +182,7 @@ def load_dataset(path: str | Path) -> Dataset:
             )
         seen[sample.id] = line_number
         samples.append(sample)
-    return Dataset.from_samples(samples)
+    return Dataset(tuple(samples))  # ids checked above, with line numbers
 
 
 def save_dataset(dataset: Dataset, path: str | Path) -> None:

@@ -215,18 +215,23 @@ def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int
     Such samples collide in every band with estimated Jaccard 1, so every
     pair within a group passes (the threshold is at most 1); only the
     distinct texts are banded, one band at a time, and checked against each
-    other.
+    other. Each band's rows are grouped in numpy, so only texts that share a
+    band key with another reach Python.
     """
     mcfg = cfg.minhash
     members, signatures = _signed_groups(dataset, mcfg)
     pairs = {(i, j) for group in members for pos, i in enumerate(group) for j in group[pos + 1 :]}
     candidates: set[tuple[int, int]] = set()
+    key_type = np.dtype((np.void, signatures.itemsize * mcfg.rows_per_band))
     for band in range(mcfg.bands):
-        rows = slice(band * mcfg.rows_per_band, (band + 1) * mcfg.rows_per_band)
-        buckets: dict[bytes, list[int]] = defaultdict(list)
-        for gid, sig in enumerate(signatures):
-            buckets[sig[rows].tobytes()].append(gid)
-        for gids in buckets.values():
+        rows = signatures[:, band * mcfg.rows_per_band : (band + 1) * mcfg.rows_per_band]
+        keys = np.ascontiguousarray(rows).view(key_type).ravel()
+        _, key_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
+        shared = np.flatnonzero(counts[key_of] > 1)
+        # by key, then by text id: a stable sort keeps ids ascending in each key
+        shared = shared[np.argsort(key_of[shared], kind="stable")]
+        for gids in np.split(shared, np.cumsum(counts[counts > 1])[:-1]):
+            gids = gids.tolist()
             for pos, g in enumerate(gids):
                 candidates.update((g, h) for h in gids[pos + 1 :])
     for g, h in candidates:

@@ -5,6 +5,10 @@ picked one at a time, each time taking the one whose embedding has the
 highest summed cosine similarity to everything not yet selected. Selection
 runs separately on the screener-clean and screener-noisy strata so the
 sample keeps the corpus's noisy fraction.
+
+Each distinct text is embedded once and its vector shared by every sample
+that carries it. Each greedy step scores all rows with one matrix-vector
+product and masks the rows already taken, so nothing is copied per step.
 """
 from __future__ import annotations
 
@@ -24,18 +28,21 @@ class EmbeddingError(RuntimeError):
 
 
 def embed_all(dataset: Dataset, client: EmbeddingClient) -> np.ndarray:
-    """One vector per sample, aligned by index. Zero-norm vectors are rejected
-    because cosine similarity is undefined for them."""
-    texts = [sample.combined_text for sample in dataset]
+    """One vector per sample, aligned by index. The client embeds each
+    distinct text once, in order of first appearance. Zero-norm vectors are
+    rejected because cosine similarity is undefined for them."""
+    rows: dict[str, int] = {}
+    row_of = [rows.setdefault(sample.combined_text, len(rows)) for sample in dataset]
     try:
-        vectors = client.embed_many(texts)
+        vectors = client.embed_many(list(rows))
     except Exception as exc:
         raise EmbeddingError(f"embedding client failed: {exc}") from exc
     vectors = np.asarray(vectors, dtype=np.float64)
     if len(dataset) == 0:
         return vectors.reshape(0, getattr(client, "dimension", 0) or 0)
-    if vectors.ndim != 2 or vectors.shape[0] != len(dataset):
+    if vectors.ndim != 2 or vectors.shape[0] != len(rows):
         raise EmbeddingError(f"embedding shape {vectors.shape} misaligned with dataset")
+    vectors = vectors[row_of]
     if not np.all(np.isfinite(vectors)):
         raise EmbeddingError("embedding produced non-finite values")
     norms = np.linalg.norm(vectors, axis=1)
@@ -50,8 +57,9 @@ def greedy_select(vectors: np.ndarray | list, n: int) -> list[int]:
     index whose summed cosine similarity to the other not-yet-selected
     vectors is largest, ties to the lowest index.
 
-    The candidate's own self-similarity is excluded from the sum; running
-    sums are maintained incrementally instead of recomputed each step.
+    The candidate's own self-similarity is excluded from the sum. The pool
+    sum is kept incrementally; each step scores every row against it and
+    masks the rows already selected, with no per-step copy.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
     count = vectors.shape[0]
@@ -64,20 +72,20 @@ def greedy_select(vectors: np.ndarray | list, n: int) -> list[int]:
         raise EmbeddingError("zero-norm vector in greedy selection")
     unit = vectors / norms[:, None]
 
-    remaining = list(range(count))
+    self_sim = np.einsum("ij,ij->i", unit, unit)
+    taken = np.zeros(count, dtype=bool)
     pool_sum = unit.sum(axis=0)
     selected: list[int] = []
     for _ in range(n):
-        candidates = unit[remaining]
         # Sum of cosines against the unselected pool, minus the self term.
-        scores = candidates @ pool_sum - np.einsum("ij,ij->i", candidates, candidates)
+        scores = unit @ pool_sum - self_sim
+        scores[taken] = -np.inf
         # Structural ties (e.g. duplicate vectors, or the two-candidate
         # endgame) must break to the lowest index even under float noise.
-        best_pos = int(np.argmax(scores >= scores.max() - 1e-9))
-        best_idx = remaining[best_pos]
+        best_idx = int(np.argmax(scores >= scores.max() - 1e-9))
         selected.append(best_idx)
+        taken[best_idx] = True
         pool_sum -= unit[best_idx]
-        remaining.pop(best_pos)
     return selected
 
 

@@ -62,7 +62,7 @@ def test_run_exposes_what_the_benchmark_reads(tmp_path, monkeypatch, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
 
     (context,) = contexts
-    assert len(embedded) == len(corpus)
+    assert sorted(embedded) == sorted({sample.combined_text for sample in corpus})
     model_calls = [client.calls for client in (context.optimizer, context.generator,
                                                context.scorer)]
     assert all(type(calls) is int for calls in model_calls) and sum(model_calls) > 0

@@ -325,10 +325,16 @@ class TestInvalidUtf8:
         path.write_bytes(corpus_path.read_bytes() + b"\xff\n")
         return path
 
-    def assert_one_line(self, capsys, prefix):
+    @pytest.fixture
+    def bad_line(self, corpus_path):
+        """Where the message must point: the line after the corpus's last."""
+        return "line %d: " % (corpus_path.read_bytes().count(b"\n") + 1)
+
+    def assert_one_line(self, capsys, prefix, line=""):
         err = capsys.readouterr().err
         assert err.startswith(prefix + "cannot read ")
         assert "0xff" in err
+        assert line in err
         assert len(err.splitlines()) == 1
 
     def corrupt_cache(self, run_dir):
@@ -337,20 +343,20 @@ class TestInvalidUtf8:
         for path in data_files:
             path.write_bytes(path.read_bytes() + b"\xff")
 
-    def test_run_exits_1(self, tmp_path, bad_corpus, capsys):
+    def test_run_exits_1(self, tmp_path, bad_corpus, bad_line, capsys):
         config = write_config(tmp_path, bad_corpus)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
-        self.assert_one_line(capsys, "run failed: ")
+        self.assert_one_line(capsys, "run failed: ", bad_line)
 
-    def test_apply_exits_2(self, tmp_path, bad_corpus, capsys):
+    def test_apply_exits_2(self, tmp_path, bad_corpus, bad_line, capsys):
         assert main(["apply", "--strategy", "Cleaning", "--input", str(bad_corpus),
                      "--output", str(tmp_path / "out.jsonl")]) == 2
-        self.assert_one_line(capsys, "config error: ")
+        self.assert_one_line(capsys, "config error: ", bad_line)
 
-    def test_sample_exits_2(self, tmp_path, bad_corpus, capsys):
+    def test_sample_exits_2(self, tmp_path, bad_corpus, bad_line, capsys):
         assert main(["sample", "--input", str(bad_corpus),
                      "--output", str(tmp_path / "out.jsonl")]) == 2
-        self.assert_one_line(capsys, "config error: ")
+        self.assert_one_line(capsys, "config error: ", bad_line)
 
     def test_run_config_exits_2(self, tmp_path, corpus_path, capsys):
         config = write_config(tmp_path, corpus_path)

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,18 @@ class TestPostJson:
         self._answer(monkeypatch, b"[]")
         with pytest.raises(ClientError):
             HttpScreenerClient("http://svc/screen").classify("q", "a")
+
+
+def test_importing_the_cli_loads_no_http_stack():
+    """``urllib.request`` (and with it ``http.client`` and ``ssl``) is
+    imported by ``post_json`` on first use, so a run with no endpoint
+    configured never pays for it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    code = ("import sys, pipecraft.cli; "
+            "print(sorted({'http.client', 'ssl', 'urllib.request'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -128,6 +128,23 @@ def test_malformed_line_reports_number(tmp_path):
         load_dataset(path)
 
 
+def test_invalid_utf8_reports_line_number(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    good = json.dumps({"id": "ok", "question": "q", "answer": "a", "meta": {}}).encode()
+    path.write_bytes(good + b"\n\n" + good.replace(b'"a"', b'"\xc3"') + b"\n" + good + b"\n")
+    with pytest.raises(DatasetError, match=r"line 3: byte 0xc3 is not valid UTF-8"):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_other_line_endings_load_like_lf(tmp_path, newline):
+    records = [json.dumps({"id": f"s{i}", "question": "q", "answer": f"a{i}"}).encode()
+               for i in range(3)]
+    (tmp_path / "lf.jsonl").write_bytes(b"\n".join(records) + b"\n")
+    (tmp_path / "other.jsonl").write_bytes(newline.join(records) + newline)
+    assert load_dataset(tmp_path / "other.jsonl") == load_dataset(tmp_path / "lf.jsonl")
+
+
 def test_unreadable_path():
     with pytest.raises(DatasetError, match="cannot read"):
         load_dataset("/nonexistent/nowhere.jsonl")

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+import urllib.request
 
 import numpy as np
 import pytest
 
-from pipecraft.clients import EmbeddingClient, HashingEmbedder
+from pipecraft.clients import EmbeddingClient, HashingEmbedder, HttpEmbeddingClient
 from pipecraft.corpus import Dataset, Sample
 from pipecraft.sampling import (
     EmbeddingError,
@@ -16,7 +18,8 @@ from pipecraft.sampling import (
     stratum_counts,
 )
 from pipecraft.screener import Screener
-from tests.conftest import clean_corpus, clean_sample, make_words
+from tests.conftest import clean_corpus, clean_sample, copies_corpus, make_words
+from tests.scripted_clients import CannedResponse
 
 
 def greedy_select_bruteforce(vectors: np.ndarray, n: int) -> list[int]:
@@ -118,6 +121,78 @@ class TestEmbedAll:
 
         with pytest.raises(EmbeddingError):
             embed_all(clean_corpus(2, seed=1), FailingEmbedder())
+
+    def test_each_distinct_text_embedded_once_in_first_appearance_order(self):
+        corpus = copies_corpus(120, seed=3)
+        seen = []
+
+        class CountingEmbedder(HashingEmbedder):
+            def embed(self, text):
+                seen.append(text)
+                return super().embed(text)
+
+        embed_all(corpus, CountingEmbedder())
+        distinct = list(dict.fromkeys(sample.combined_text for sample in corpus))
+        assert len(distinct) < len(corpus)
+        assert seen == distinct
+
+    def test_each_row_is_the_row_of_the_first_sample_with_its_text(self):
+        corpus = copies_corpus(120, seed=4)
+        vectors = embed_all(corpus, HashingEmbedder())
+        first: dict[str, int] = {}
+        for index, sample in enumerate(corpus):
+            assert np.array_equal(vectors[index], vectors[first.setdefault(sample.combined_text, index)])
+        # and every row is what embedding that sample on its own gives
+        expected = np.stack([HashingEmbedder().embed(sample.combined_text) for sample in corpus])
+        assert np.array_equal(vectors, expected)
+
+    def test_zero_norm_names_the_first_sample_with_that_text(self):
+        corpus = Dataset.from_samples(
+            [Sample(id="a", question="fine", answer="text"),
+             Sample(id="b", question="bad", answer="text"),
+             Sample(id="c", question="fine", answer="text"),
+             Sample(id="d", question="bad", answer="text")]
+        )
+
+        class ZeroOnBad(HashingEmbedder):
+            def embed(self, text):
+                return np.zeros(self.dimension) if text.startswith("bad") else super().embed(text)
+
+        with pytest.raises(EmbeddingError, match="sample 'b'"):
+            embed_all(corpus, ZeroOnBad())
+
+    def test_shape_is_checked_against_the_distinct_count(self):
+        class OneRowPerSample(EmbeddingClient):
+            dimension = 4
+
+            def embed(self, text):
+                return np.ones(4)
+
+            def embed_many(self, texts):
+                return np.ones((len(texts) + 1, 4))
+
+        corpus = copies_corpus(30, seed=2)
+        with pytest.raises(EmbeddingError, match="misaligned"):
+            embed_all(corpus, OneRowPerSample())
+
+    def test_http_embedder_sends_one_request_per_distinct_text(self, monkeypatch):
+        """``urlopen`` is replaced by an endpoint that answers with the
+        hashing embedder's vector, so no request leaves the process."""
+        reference = HashingEmbedder(dimension=16)
+        requested = []
+
+        def fake_urlopen(request, timeout):
+            text = json.loads(request.data)["text"]
+            requested.append(text)
+            return CannedResponse(json.dumps({"vector": reference.embed(text).tolist()}).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        corpus = copies_corpus(90, seed=6)
+        client = HttpEmbeddingClient("http://embedder.test/embed", dimension=16)
+        subset = stratified_sample(corpus, 0.2, Screener(), client)
+        assert requested == list(dict.fromkeys(sample.combined_text for sample in corpus))
+        expected = stratified_sample(corpus, 0.2, Screener(), HashingEmbedder(dimension=16))
+        assert subset.fingerprint == expected.fingerprint
 
 
 def mixed_corpus(n: int, n_noisy: int, seed: int = 0) -> Dataset:
