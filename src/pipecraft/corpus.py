@@ -171,7 +171,10 @@ def load_dataset(path: str | Path) -> Dataset:
         ) from exc
     samples: list[Sample] = []
     seen: dict[str, int] = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
+    # only line feeds, carriage returns or both end a record: str.splitlines
+    # would also break at U+2028, U+2029 and U+0085, which a record may hold raw
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         sample = _parse_record(line, line_number)

@@ -4,13 +4,17 @@ A text is cleaned, and its threshold statistics computed, once per run:
 :func:`clean_text` and :func:`text_profile` each keep a bounded memo, cleared
 by :func:`clear_run_memos` when each run starts and ends. A memo holds only
 pure functions of its key and so never changes an output.
+
+Characters are classified as allowed or special through one ``str.translate``
+table, :data:`ALLOWED_CHARS`, so counting or dropping special characters runs
+in C. The table starts empty and classifies each code point the first time a
+text holds it; it never holds more than one entry per code point seen.
 """
 from __future__ import annotations
 
 import html
 import re
 import unicodedata
-from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -76,13 +80,26 @@ def is_allowed_char(ch: str) -> bool:
     return category.startswith("L") or category == "Nd"
 
 
+class _CharClasses(dict):
+    """A ``str.translate`` table that keeps allowed characters and deletes
+    special ones: a code point maps to itself or to ``None``. It starts
+    empty and classifies each code point with :func:`is_allowed_char` the
+    first time a text holds it."""
+
+    def __missing__(self, code: int) -> int | None:
+        kept = code if is_allowed_char(chr(code)) else None
+        self[code] = kept
+        return kept
+
+
+ALLOWED_CHARS = _CharClasses()
+
+
 def special_char_ratio(text: str) -> float:
-    """Fraction of characters outside the allowed alphabet; empty text -> 0.
-    Each distinct character is classified once."""
+    """Fraction of characters outside the allowed alphabet; empty text -> 0."""
     if not text:
         return 0.0
-    special = sum(n for ch, n in Counter(text).items() if not is_allowed_char(ch))
-    return special / len(text)
+    return (len(text) - len(text.translate(ALLOWED_CHARS))) / len(text)
 
 
 def tokenize(text: str) -> list[str]:

@@ -8,11 +8,23 @@ import pytest
 
 from pipecraft.config import OperatorConfig
 from pipecraft.corpus import Dataset, Sample
+from pipecraft.textstats import ALLOWED_CHARS
 
 
 @pytest.fixture
 def cfg() -> OperatorConfig:
     return OperatorConfig()
+
+
+@pytest.fixture
+def restore_char_classes():
+    """Put the shared character-class table back as the test found it. A test
+    that classifies every code point fills it with about 1.1M entries (about
+    100 MB), which the rest of the session would otherwise keep."""
+    saved = dict(ALLOWED_CHARS)
+    yield
+    ALLOWED_CHARS.clear()
+    ALLOWED_CHARS.update(saved)
 
 
 @pytest.fixture(scope="session")

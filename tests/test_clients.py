@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import urllib.request
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from pipecraft.clients import (
     normalize_text,
 )
 from pipecraft.synthetic import messy_corpus
+from pipecraft.textstats import clean_text, clear_run_memos, is_allowed_char
 from tests.conftest import copies_corpus, random_unicode
 from tests.scripted_clients import CannedResponse, ConstantScorer, ScriptedModelClient
 
@@ -121,6 +123,35 @@ class TestDefaults:
         assert scorer.complete({"role": "scorer"})["score"] == 0.5
 
 
+def ref_normalize_text(text: str) -> str:
+    """``normalize_text`` as the per-character formula: one alphabet check
+    for every character of the cleaned text."""
+    return clean_text("".join(ch for ch in clean_text(text) if is_allowed_char(ch)))
+
+
+class TestNormalizeText:
+    """Dropping special characters through the translate table equals the
+    per-character formula."""
+
+    def test_matches_per_character_formula_on_random_unicode(self):
+        rng = random.Random(17)
+        # unassigned code points, in the BMP and in astral planes
+        unassigned = "\u0378\u0380\U0001FFFE\U0003FFFF\U000E0080\U0010FFFF"
+        texts = [random_unicode(rng, 80) for _ in range(500)]
+        texts += [text + rng.choice(unassigned) + text[::-1] for text in texts[:100]]
+        texts += ["", "###", unassigned, "fine, text!"]
+        for text in texts:
+            assert normalize_text(text) == ref_normalize_text(text), text
+
+    @pytest.mark.usefixtures("restore_char_classes")
+    def test_matches_per_character_formula_over_all_code_points(self):
+        every = "".join(map(chr, range(0x110000)))
+        for start in range(0, len(every), 1 << 12):
+            chunk = every[start : start + (1 << 12)]
+            assert normalize_text(chunk) == ref_normalize_text(chunk), hex(start)
+        clear_run_memos()
+
+
 class TestHashingEmbedder:
     def test_identical_text_identical_vector(self):
         embedder = HashingEmbedder()
@@ -154,6 +185,22 @@ def reference_embed(text: str, dimension: int = 64) -> np.ndarray:
         vec[bucket] += 1.0
     vec[dimension - 1] = 1.0
     return vec
+
+
+def stored_trigrams(embedder: HashingEmbedder, trigrams) -> dict[str, int]:
+    """The bucket the embedder's key table holds for each of ``trigrams`` it
+    stores. A trigram's key packs its code points 21 bits apart, first
+    character lowest. Checks that the table holds only such keys, sorted."""
+    keys = embedder._keys[:-1].tolist()  # the last key is a sentinel
+    assert keys == sorted(set(keys))
+    position = {key: i for i, key in enumerate(keys)}
+    stored = {}
+    for gram in trigrams:
+        key = ord(gram[0]) | ord(gram[1]) << 21 | ord(gram[2]) << 42
+        if key in position:
+            stored[gram] = int(embedder._buckets[position[key]])
+    assert len(stored) <= len(keys)
+    return stored
 
 
 def assert_embeds_like_reference(embedder: HashingEmbedder, texts) -> None:
@@ -191,15 +238,33 @@ class TestHashingEmbedderExactness:
         assert len(trigrams) > 50  # premise
         embedder = HashingEmbedder(dimension=16)
         assert_embeds_like_reference(embedder, texts * 2)
-        assert len(embedder._buckets) == 50
-        for gram, bucket in embedder._buckets.items():
+        stored = stored_trigrams(embedder, trigrams)
+        assert len(stored) == 50
+        for gram, bucket in stored.items():
             assert bucket == int.from_bytes(
                 hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest(), "big") % 15
 
     def test_memo_is_per_instance(self):
         first, second = HashingEmbedder(), HashingEmbedder()
         first.embed("some text")
-        assert first._buckets and not second._buckets
+        grams = {"^so", "som", "ext", "xt$"}
+        assert stored_trigrams(first, grams).keys() == grams
+        assert not stored_trigrams(second, grams)
+
+    def test_each_trigram_hashed_once_per_embedder(self, monkeypatch, bench_corpora):
+        texts = [s.combined_text for s in bench_corpora["distinct-3k"]][:400]
+        texts += [random_unicode(random.Random(9), 60) for _ in range(100)]
+        trigrams = [f"^{t}$"[i : i + 3] for t in texts for i in range(len(t))]
+        assert len(set(trigrams)) < clients.TRIGRAM_MEMO_CAP  # premise
+        hashed, blake2b = Counter(), hashlib.blake2b
+
+        def counted(data, **kwargs):
+            hashed[data] += 1
+            return blake2b(data, **kwargs)
+
+        monkeypatch.setattr(hashlib, "blake2b", counted)
+        HashingEmbedder().embed_many(texts * 2)
+        assert hashed == Counter({gram.encode("utf-8"): 1 for gram in trigrams})
 
 
 class TestWireContracts:
@@ -319,16 +384,29 @@ class TestPostJson:
             HttpScreenerClient("http://svc/screen").classify("q", "a")
 
 
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this
+    checkout's sources."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip()
+
+
 def test_importing_the_cli_loads_no_http_stack():
     """``urllib.request`` (and with it ``http.client`` and ``ssl``) is
     imported by ``post_json`` on first use, so a run with no endpoint
     configured never pays for it."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = [str(src), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     code = ("import sys, pipecraft.cli; "
             "print(sorted({'http.client', 'ssl', 'urllib.request'} & set(sys.modules)))")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
+
+
+def test_importing_the_cli_classifies_no_character():
+    """The character-class translate table is filled as texts are read, so
+    importing does no work for it."""
+    code = "import pipecraft.cli, pipecraft.textstats as t; print(len(t.ALLOWED_CHARS))"
+    assert run_fresh(code) == "0"

@@ -145,6 +145,45 @@ def test_other_line_endings_load_like_lf(tmp_path, newline):
     assert load_dataset(tmp_path / "other.jsonl") == load_dataset(tmp_path / "lf.jsonl")
 
 
+# str.splitlines breaks at these; a saved record holds them unescaped
+UNICODE_LINE_BREAKS = Dataset.from_samples([
+    Sample(id="ls", question="line\u2028separator", answer="a"),
+    Sample(id="ps", question="q", answer="paragraph\u2029separator"),
+    Sample(id="nel", question="next\u0085line", answer="a\u2028\u2029\u0085b",
+           meta={"note": "\u2028"}),
+])
+
+
+def test_unicode_line_breaks_round_trip(tmp_path):
+    save_dataset(UNICODE_LINE_BREAKS, tmp_path / "u.jsonl")
+    assert "\u2028" in (tmp_path / "u.jsonl").read_text(encoding="utf-8")  # premise
+    loaded = load_dataset(tmp_path / "u.jsonl")
+    assert loaded.samples == UNICODE_LINE_BREAKS.samples
+    assert loaded.fingerprint == UNICODE_LINE_BREAKS.fingerprint
+
+
+def test_apply_none_twice_on_unicode_line_breaks(tmp_path):
+    save_dataset(UNICODE_LINE_BREAKS, tmp_path / "in.jsonl")
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    assert main(["apply", "--strategy", "NONE", "--input", str(tmp_path / "in.jsonl"),
+                 "--output", str(once)]) == 0
+    assert main(["apply", "--strategy", "NONE", "--input", str(once),
+                 "--output", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes() == (tmp_path / "in.jsonl").read_bytes()
+
+
+def test_cache_entry_with_unicode_line_breaks_is_a_hit(tmp_path, caplog):
+    strategy = enumerate_space()[1]
+    StrategyCache(tmp_path, OperatorConfig().digest(), seed=0).put(
+        strategy, UNICODE_LINE_BREAKS.fingerprint, UNICODE_LINE_BREAKS)
+    cache = StrategyCache(tmp_path, OperatorConfig().digest(), seed=0)
+    ctx = ExecutionContext.with_defaults(OperatorConfig())
+    out = cache.apply_with_reuse(strategy, UNICODE_LINE_BREAKS, ctx)
+    assert out.samples == UNICODE_LINE_BREAKS.samples
+    assert cache.stats() == {"entries": 1, "hits": 1, "team_invocations_saved": 1}
+    assert "evicting" not in caplog.text
+
+
 def test_unreadable_path():
     with pytest.raises(DatasetError, match="cannot read"):
         load_dataset("/nonexistent/nowhere.jsonl")

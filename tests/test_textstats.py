@@ -77,6 +77,7 @@ class TestSpecialCharRatio:
     def test_markup_chars_are_special(self):
         assert special_char_ratio("<><>") == 1.0
 
+    @pytest.mark.usefixtures("restore_char_classes")
     def test_matches_per_character_formula_over_all_code_points(self):
         every = "".join(map(chr, range(0x110000)))
         for start in range(0, len(every), 1 << 12):
