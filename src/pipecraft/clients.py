@@ -9,7 +9,6 @@ JSON wire contract.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from abc import ABC, abstractmethod
 from typing import Sequence
@@ -17,14 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .config import OperatorConfig
-from .textstats import ALLOWED_CHARS, clean_text, text_profile, violations
+from .textstats import ALLOWED_CHARS, clean_text, ngram_hashes, text_profile, violations
 
 DEFAULT_TIMEOUT_S = 60.0
-# distinct trigrams one HashingEmbedder's key table holds: 1 MB at most
-TRIGRAM_MEMO_CAP = 1 << 16
-_CODE_MASK = (1 << 21) - 1
-# above every packed trigram, whose top code point fits in bits 42..62
-_NO_TRIGRAM = np.uint64(1 << 63)
 
 
 class ClientError(RuntimeError):
@@ -177,52 +171,23 @@ class HashingEmbedder(EmbeddingClient):
     """Deterministic feature-hash embedder over character trigrams
     (Weinberger et al. 2009, "Feature Hashing for Large Scale Multitask
     Learning"): trigram ``g`` of ``^text$`` adds one to bucket
-    ``blake2b(g) % (dimension - 1)``.
+    ``h(g) % (dimension - 1)``, where ``h`` is
+    :func:`~pipecraft.textstats.ngram_hashes`, the code-point n-gram hash
+    MinHash dedup uses.
 
     A constant bias component keeps every vector, including the one for empty
-    text, away from zero norm. Each trigram is packed into one ``uint64`` key,
-    21 bits per code point, and looked up in a per-instance sorted key table
-    with an aligned bucket array. Only keys the table lacks are hashed; up to
-    ``TRIGRAM_MEMO_CAP`` distinct trigrams are stored, and past the cap further
-    trigrams are hashed on every use. The table holds a pure function of the
-    trigram, so it never changes a vector.
+    text, away from zero norm.
     """
 
     def __init__(self, dimension: int = 64) -> None:
         if dimension < 2:
             raise ValueError("dimension must be >= 2")
         self.dimension = dimension
-        # sorted keys, ending in a sentinel above every key, so a lookup's
-        # insertion point always indexes the table
-        self._keys = np.array([_NO_TRIGRAM], dtype=np.uint64)
-        self._buckets = np.zeros(1, dtype=np.intp)
-
-    def _hash(self, keys: np.ndarray) -> np.ndarray:
-        """The bucket of each packed trigram, hashed from its characters."""
-        modulus, buckets = self.dimension - 1, []
-        for key in keys.tolist():
-            gram = chr(key & _CODE_MASK) + chr(key >> 21 & _CODE_MASK) + chr(key >> 42)
-            digest = hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest()
-            buckets.append(int.from_bytes(digest, "big") % modulus)
-        return np.array(buckets, dtype=np.intp)
 
     def embed(self, text: str) -> np.ndarray:
         codes = np.frombuffer(f"^{text}$".encode("utf-32-le"), dtype=np.uint32)
-        codes = codes.astype(np.uint64)
-        keys = codes[:-2] | codes[1:-1] << np.uint64(21) | codes[2:] << np.uint64(42)
-        slots = self._keys.searchsorted(keys)
-        buckets = self._buckets[slots]
-        missing = self._keys[slots] != keys
-        if missing.any():
-            new_keys, inverse = np.unique(keys[missing], return_inverse=True)
-            new_buckets = self._hash(new_keys)
-            buckets[missing] = new_buckets[inverse]
-            room = TRIGRAM_MEMO_CAP - (self._keys.size - 1)
-            if room > 0:
-                at = self._keys.searchsorted(new_keys[:room])
-                self._keys = np.insert(self._keys, at, new_keys[:room])
-                self._buckets = np.insert(self._buckets, at, new_buckets[:room])
-        vec = np.bincount(buckets, minlength=self.dimension)
+        buckets = ngram_hashes(codes.astype(np.uint64), 3) % np.uint64(self.dimension - 1)
+        vec = np.bincount(buckets.astype(np.intp), minlength=self.dimension)
         vec = vec.astype(np.float64)  # integer counts, exact in float64
         vec[self.dimension - 1] = 1.0
         return vec

@@ -141,16 +141,15 @@ def _parse_record(line: str, line_number: int) -> Sample:
         )
     except DatasetError as exc:
         raise DatasetError(f"line {line_number}: {exc}") from exc
-    # a \ud800-style escape decodes to a lone surrogate, which no UTF encoding takes
-    strings = [sample.id, sample.question, sample.answer, *sample.meta]
-    strings += [value for value in sample.meta.values() if isinstance(value, str)]
-    for text in strings:
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DatasetError(
-                f"line {line_number}: string {text[:40]!r} is not valid Unicode text ({exc.reason})"
-            ) from exc
+    # a \ud800-style escape decodes to a lone surrogate, which no UTF encoding
+    # takes; the canonical line holds every string raw and the fingerprint needs it
+    try:
+        sample.canonical.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        around = sample.canonical[max(exc.start - 20, 0) : exc.start + 20]
+        raise DatasetError(
+            f"line {line_number}: text {around!r} is not valid Unicode text ({exc.reason})"
+        ) from exc
     return sample
 
 

@@ -12,7 +12,8 @@ sample goes through the team's per-sample operator, and every screener-clean
 sample passes through as the same object, without a model call.
 
 MinHash dedup signs the distinct shingle texts of a pass together, in numpy:
-a shingle is a window of code points, hashed by a seeded splitmix64 chain, and
+a shingle is a window of code points, hashed by
+:func:`pipecraft.textstats.ngram_hashes` (as the trigram embedder's are), and
 one-permutation hashing with optimal densification (Li, Owen & Zhang 2012;
 Shrivastava 2017) spreads each text's window hashes over
 ``num_permutations`` bins. Identical texts share a signature and are always
@@ -32,13 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
+from . import textstats
 from .clients import (AgentClient, ClientError, EmbeddingClient, HashingEmbedder, HeuristicScorer,
                       ModelClient, NormalizingOptimizer, TemplateGenerator, TrainerClient)
 from .config import MinhashConfig, OperatorConfig
 from .corpus import Dataset, Sample
 from .screener import Screener
 from .strategy import Strategy, Team
-from .textstats import clean_text, text_profile, violations
+from .textstats import clean_text, ngram_hashes, text_profile, violations
 from .timing import NULL_TIMER, PhaseTimer
 
 logger = logging.getLogger(__name__)
@@ -54,15 +56,9 @@ GENERATION_SHOT_COUNT = 3
 # MinHash / LSH near-duplicate removal
 # ---------------------------------------------------------------------------
 
-_HASH_SEED = 0x5EED_CAFE
 _EMPTY_SENTINEL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
 # one past the last code point: pads a text shorter than a shingle
 _PAD_BYTES = (0x110000).to_bytes(4, "little")
-_CODE_BITS = 21
-_CODES_PER_WORD = 3
 # most shingle windows hashed at once, which bounds the transient arrays
 SIGN_BLOCK_WINDOWS = 1 << 15
 
@@ -76,23 +72,10 @@ def sample_shingle_text(sample: Sample) -> str:
     return clean_text(sample.question) + "\n" + clean_text(sample.answer)
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, in place; uint64 arithmetic wraps mod 2**64 by
-    design, the same in place as out of it."""
-    shifted = np.empty_like(values)
-    for shift, multiplier in ((_SHIFT_1, _MIX_1), (_SHIFT_2, _MIX_2)):
-        np.right_shift(values, shift, out=shifted)
-        values ^= shifted
-        values *= multiplier
-    np.right_shift(values, _SHIFT_3, out=shifted)
-    values ^= shifted
-    return values
-
-
 def _densify_candidates(num_bins: int) -> np.ndarray:
     """Row ``b`` is a seeded permutation of all bins: the order in which an
     empty bin ``b`` looks for a filled bin to borrow from."""
-    rng = np.random.default_rng(_HASH_SEED)
+    rng = np.random.default_rng(textstats.HASH_SEED)
     return rng.permuted(np.tile(np.arange(num_bins), (num_bins, 1)), axis=1)
 
 
@@ -123,26 +106,15 @@ def _blocks(texts: Sequence[str], shingle_size: int):
 
 
 def _window_hashes(pieces: list[str], windows: np.ndarray, shingle_size: int) -> np.ndarray:
-    """Seeded 64-bit hash of every shingle window of the pieces, in order;
-    piece ``i`` has ``windows[i]`` windows. A window packs 21 bits per code
-    point, three code points per word, and mixes its words into the hash in
-    turn; a piece shorter than a shingle is padded with 0x110000, which is
-    not a code point, to one window. Every position of the joined pieces is
-    hashed with slices; the windows that straddle two pieces are dropped."""
+    """:func:`~pipecraft.textstats.ngram_hashes` of every shingle window of
+    the pieces, in order; piece ``i`` has ``windows[i]`` windows. A piece
+    shorter than a shingle is padded with 0x110000, which is not a code
+    point, to one window. The pieces are joined and hashed at once; the
+    windows that straddle two pieces are dropped."""
     data = b"".join(piece.encode("utf-32-le") + _PAD_BYTES * (shingle_size - len(piece))
                     for piece in pieces)
     codes = np.frombuffer(data, dtype=np.uint32).astype(np.uint64)
-    count = codes.size - shingle_size + 1
-    hashes = np.full(count, _HASH_SEED, dtype=np.uint64)
-    word, part = np.empty_like(hashes), np.empty_like(hashes)
-    for word_start in range(0, shingle_size, _CODES_PER_WORD):
-        word[:] = codes[word_start : word_start + count]
-        for offset in range(1, min(_CODES_PER_WORD, shingle_size - word_start)):
-            start = word_start + offset
-            np.left_shift(codes[start : start + count], np.uint64(_CODE_BITS * offset), out=part)
-            word |= part
-        hashes ^= word
-        _mix64(hashes)
+    hashes = ngram_hashes(codes, shingle_size)
     ends = np.cumsum(windows + shingle_size - 1)[:-1]
     straddling = (ends[:, None] - np.arange(shingle_size - 1, 0, -1)).ravel()
     return np.delete(hashes, straddling)

@@ -9,6 +9,10 @@ Characters are classified as allowed or special through one ``str.translate``
 table, :data:`ALLOWED_CHARS`, so counting or dropping special characters runs
 in C. The table starts empty and classifies each code point the first time a
 text holds it; it never holds more than one entry per code point seen.
+
+MinHash dedup and the trigram embedder hash code-point n-grams with one
+function, :func:`ngram_hashes`: a seeded splitmix64 chain over each window's
+code points, packed 21 bits apiece.
 """
 from __future__ import annotations
 
@@ -17,6 +21,8 @@ import re
 import unicodedata
 from functools import lru_cache
 from typing import NamedTuple
+
+import numpy as np
 
 from .config import OperatorConfig
 
@@ -48,6 +54,15 @@ PROFILE_MEMO_SIZE = 1 << 15
 REASON_SPECIAL_CHARS = "special-char-ratio"
 REASON_TOKEN_COUNT = "token-count"
 REASON_NGRAM = "ngram-repetition"
+
+# seeds every n-gram hash chain and MinHash's densification order; read at
+# call time, so patching it here reseeds both
+HASH_SEED = 0x5EED_CAFE
+_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_1, _SHIFT_2, _SHIFT_3 = np.uint64(30), np.uint64(27), np.uint64(31)
+_CODE_BITS = 21
+_CODES_PER_WORD = 3
 
 
 def _clean_once(text: str) -> str:
@@ -178,3 +193,36 @@ def violations(profile: TextProfile, cfg: OperatorConfig) -> list[str]:
     if profile.ngram_ratio > cfg.ngram.max_repetition_ratio:
         reasons.append(REASON_NGRAM)
     return reasons
+
+
+def _mix64(values: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, in place; uint64 arithmetic wraps mod 2**64 by
+    design, the same in place as out of it."""
+    shifted = np.empty_like(values)
+    for shift, multiplier in ((_SHIFT_1, _MIX_1), (_SHIFT_2, _MIX_2)):
+        np.right_shift(values, shift, out=shifted)
+        values ^= shifted
+        values *= multiplier
+    np.right_shift(values, _SHIFT_3, out=shifted)
+    values ^= shifted
+    return values
+
+
+def ngram_hashes(codes: np.ndarray, size: int) -> np.ndarray:
+    """Seeded 64-bit hash of every window of ``size`` consecutive code points
+    in the ``uint64`` array ``codes``, in order. A window packs 21 bits per
+    code point, three code points per word with the first lowest, and mixes
+    its words in turn into a splitmix64 chain started at :data:`HASH_SEED`.
+    Every window is hashed at once with slices."""
+    count = max(codes.size - size + 1, 0)
+    hashes = np.full(count, HASH_SEED, dtype=np.uint64)
+    word, part = np.empty_like(hashes), np.empty_like(hashes)
+    for word_start in range(0, size, _CODES_PER_WORD):
+        word[:] = codes[word_start : word_start + count]
+        for offset in range(1, min(_CODES_PER_WORD, size - word_start)):
+            start = word_start + offset
+            np.left_shift(codes[start : start + count], np.uint64(_CODE_BITS * offset), out=part)
+            word |= part
+        hashes ^= word
+        _mix64(hashes)
+    return hashes

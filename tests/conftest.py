@@ -100,3 +100,27 @@ def copies_corpus(n: int = 240, seed: int = 0) -> Dataset:
         samples.append(Sample(id=f"c{i:04d}", question=original.question, answer=answer))
     rng.shuffle(samples)
     return Dataset.from_samples(samples)
+
+
+# The code-point n-gram hash in Python integers, the oracle for
+# ``textstats.ngram_hashes`` and so for both MinHash dedup and the trigram
+# embedder: a window packs 21 bits per code point, three to a word, first
+# lowest, and mixes its words in turn into a splitmix64 chain.
+
+MASK64 = (1 << 64) - 1
+
+
+def mix64_int(x: int) -> int:
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def window_hash_int(codes: list[int]) -> int:
+    h = 0x5EED_CAFE
+    for start in range(0, len(codes), 3):
+        word = 0
+        for offset, code in enumerate(codes[start : start + 3]):
+            word |= code << (21 * offset)
+        h = mix64_int(h ^ word)
+    return h

@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-import hashlib
 import os
 import random
 import subprocess
 import sys
 import urllib.request
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +26,7 @@ from pipecraft.clients import (
 )
 from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import clean_text, clear_run_memos, is_allowed_char
-from tests.conftest import copies_corpus, random_unicode
+from tests.conftest import copies_corpus, random_unicode, window_hash_int
 from tests.scripted_clients import CannedResponse, ConstantScorer, ScriptedModelClient
 
 
@@ -173,34 +171,14 @@ class TestHashingEmbedder:
 
 
 def reference_embed(text: str, dimension: int = 64) -> np.ndarray:
-    """``HashingEmbedder.embed`` as it was before trigram buckets were kept:
-    one blake2b call per trigram, counts added one at a time."""
+    """``HashingEmbedder.embed`` as a plain loop: each trigram of ``^text$``
+    adds one to bucket ``window_hash_int(its code points) % (dimension - 1)``."""
     vec = np.zeros(dimension, dtype=np.float64)
     padded = f"^{text}$"
     for i in range(len(padded) - 2):
-        gram = padded[i : i + 3].encode("utf-8")
-        bucket = int.from_bytes(hashlib.blake2b(gram, digest_size=4).digest(), "big") % (
-            dimension - 1
-        )
-        vec[bucket] += 1.0
+        vec[window_hash_int([ord(ch) for ch in padded[i : i + 3]]) % (dimension - 1)] += 1.0
     vec[dimension - 1] = 1.0
     return vec
-
-
-def stored_trigrams(embedder: HashingEmbedder, trigrams) -> dict[str, int]:
-    """The bucket the embedder's key table holds for each of ``trigrams`` it
-    stores. A trigram's key packs its code points 21 bits apart, first
-    character lowest. Checks that the table holds only such keys, sorted."""
-    keys = embedder._keys[:-1].tolist()  # the last key is a sentinel
-    assert keys == sorted(set(keys))
-    position = {key: i for i, key in enumerate(keys)}
-    stored = {}
-    for gram in trigrams:
-        key = ord(gram[0]) | ord(gram[1]) << 21 | ord(gram[2]) << 42
-        if key in position:
-            stored[gram] = int(embedder._buckets[position[key]])
-    assert len(stored) <= len(keys)
-    return stored
 
 
 def assert_embeds_like_reference(embedder: HashingEmbedder, texts) -> None:
@@ -211,8 +189,8 @@ def assert_embeds_like_reference(embedder: HashingEmbedder, texts) -> None:
 
 
 class TestHashingEmbedderExactness:
-    """Remembered trigram buckets and bincount change no vector: each equals
-    the reference loop exactly."""
+    """Hashing every trigram at once and counting with bincount change no
+    vector: each equals the reference loop exactly."""
 
     @pytest.mark.parametrize("dimension", [2, 16, 64])
     def test_random_unicode(self, dimension):
@@ -229,42 +207,6 @@ class TestHashingEmbedderExactness:
     def test_bench_corpora(self, bench_corpora, workload):
         texts = [s.combined_text for s in bench_corpora[workload]]
         assert_embeds_like_reference(HashingEmbedder(), texts)
-
-    def test_memo_stops_at_cap(self, monkeypatch):
-        monkeypatch.setattr(clients, "TRIGRAM_MEMO_CAP", 50)
-        rng = random.Random(5)
-        texts = [random_unicode(rng, 40) for _ in range(60)]
-        trigrams = {f"^{t}$"[i : i + 3] for t in texts for i in range(len(t))}
-        assert len(trigrams) > 50  # premise
-        embedder = HashingEmbedder(dimension=16)
-        assert_embeds_like_reference(embedder, texts * 2)
-        stored = stored_trigrams(embedder, trigrams)
-        assert len(stored) == 50
-        for gram, bucket in stored.items():
-            assert bucket == int.from_bytes(
-                hashlib.blake2b(gram.encode("utf-8"), digest_size=4).digest(), "big") % 15
-
-    def test_memo_is_per_instance(self):
-        first, second = HashingEmbedder(), HashingEmbedder()
-        first.embed("some text")
-        grams = {"^so", "som", "ext", "xt$"}
-        assert stored_trigrams(first, grams).keys() == grams
-        assert not stored_trigrams(second, grams)
-
-    def test_each_trigram_hashed_once_per_embedder(self, monkeypatch, bench_corpora):
-        texts = [s.combined_text for s in bench_corpora["distinct-3k"]][:400]
-        texts += [random_unicode(random.Random(9), 60) for _ in range(100)]
-        trigrams = [f"^{t}$"[i : i + 3] for t in texts for i in range(len(t))]
-        assert len(set(trigrams)) < clients.TRIGRAM_MEMO_CAP  # premise
-        hashed, blake2b = Counter(), hashlib.blake2b
-
-        def counted(data, **kwargs):
-            hashed[data] += 1
-            return blake2b(data, **kwargs)
-
-        monkeypatch.setattr(hashlib, "blake2b", counted)
-        HashingEmbedder().embed_many(texts * 2)
-        assert hashed == Counter({gram.encode("utf-8"): 1 for gram in trigrams})
 
 
 class TestWireContracts:

@@ -8,7 +8,8 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from pipecraft import operators
+from pipecraft import operators, textstats
+from pipecraft.clients import HashingEmbedder
 from pipecraft.config import MinhashConfig, OperatorConfig
 from pipecraft.corpus import Dataset, Sample
 from pipecraft.operators import (
@@ -27,7 +28,8 @@ from pipecraft.operators import (
 )
 from pipecraft.strategy import Strategy, Team
 from pipecraft.synthetic import messy_corpus
-from tests.conftest import clean_corpus, clean_sample, copies_corpus, make_words, random_unicode
+from tests.conftest import (MASK64, clean_corpus, clean_sample, copies_corpus, make_words,
+                            random_unicode, window_hash_int)
 from tests.scripted_clients import ConstantScorer, ScriptedModelClient
 
 
@@ -152,28 +154,9 @@ def reference_mix64(values: np.ndarray) -> np.ndarray:
 
 
 # A plain per-text version of the one-permutation signer, in Python integers:
-# each window of code points (padded with 0x110000 up to one window) packs 21
-# bits per code point, three to a word, and mixes its words into a seeded
-# splitmix64 chain; the hash picks bin ``h % K`` for value ``h // K``; an empty
-# bin borrows from the first filled bin of its seeded candidate permutation.
-
-MASK64 = (1 << 64) - 1
-
-
-def mix64_int(x: int) -> int:
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
-    return x ^ (x >> 31)
-
-
-def window_hash_int(codes: list[int]) -> int:
-    h = 0x5EED_CAFE
-    for start in range(0, len(codes), 3):
-        word = 0
-        for offset, code in enumerate(codes[start : start + 3]):
-            word |= code << (21 * offset)
-        h = mix64_int(h ^ word)
-    return h
+# each window of code points (padded with 0x110000 up to one window) is hashed
+# by ``window_hash_int``; the hash picks bin ``h % K`` for value ``h // K``; an
+# empty bin borrows from the first filled bin of its seeded candidate permutation.
 
 
 def oph_signature(text: str, mcfg: MinhashConfig) -> np.ndarray:
@@ -298,12 +281,19 @@ class TestHashingExactness:
         assert np.array_equal(signatures[2], signatures[0])
         assert not np.array_equal(signatures[1], signatures[0])
 
+    def test_hash_seed_reseeds_windows_and_densification(self, monkeypatch):
+        codes = np.arange(40, dtype=np.uint64)
+        shipped = textstats.ngram_hashes(codes, 5), operators._densify_candidates(16)
+        monkeypatch.setattr(textstats, "HASH_SEED", 1)
+        reseeded = textstats.ngram_hashes(codes, 5), operators._densify_candidates(16)
+        assert not any(np.array_equal(a, b) for a, b in zip(shipped, reseeded))
+
     def test_mix64_wraps_like_the_reference(self):
         rng = np.random.default_rng(3)
         values = rng.integers(0, 1 << 64, size=(64, 8), dtype=np.uint64)
         values[0, :2] = (0, 0xFFFF_FFFF_FFFF_FFFF)
         expected = reference_mix64(values.copy())
-        assert np.array_equal(operators._mix64(values), expected)
+        assert np.array_equal(textstats._mix64(values), expected)
 
     @pytest.mark.parametrize("config_name", HASHING_CONFIGS)
     @pytest.mark.parametrize("corpus_name", HASHING_CORPORA)
@@ -340,6 +330,7 @@ class TestHashingExactness:
 
         monkeypatch.setattr(hashlib, "blake2b", refuse)
         assert duplicate_pairs(copies_corpus(), cfg)
+        assert HashingEmbedder().embed_many([s.combined_text for s in copies_corpus()]).any()
 
 
 # One hash seed's error on one corpus swings widely, because every pair shares
@@ -362,12 +353,15 @@ class TestEstimatorQuality:
         texts = sorted({sample_shingle_text(s) for s in corpus()})
         pairs = np.asarray(list(itertools.combinations(range(len(texts)), 2)))
         exact = np.asarray([exact_jaccard(texts[i], texts[j], mcfg.shingle_size) for i, j in pairs])
+        shipped = minhash_signature(texts, mcfg)
         old_error = new_error = 0.0
         for seed in QUALITY_SEEDS:
             old = np.stack([permutation_signature(t, mcfg, seed) for t in texts])
-            monkeypatch.setattr(operators, "_HASH_SEED", seed)
+            monkeypatch.setattr(textstats, "HASH_SEED", seed)
+            new = minhash_signature(texts, mcfg)
+            assert np.array_equal(new, shipped) == (seed == QUALITY_SEEDS[0])  # the patch reseeds
             old_error += mean_abs_error(old, pairs, exact)
-            new_error += mean_abs_error(minhash_signature(texts, mcfg), pairs, exact)
+            new_error += mean_abs_error(new, pairs, exact)
         assert new_error <= 1.5 * old_error, (new_error, old_error)
 
 
