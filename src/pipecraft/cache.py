@@ -19,7 +19,6 @@ import hashlib
 import json
 import logging
 import os
-import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -61,6 +60,12 @@ class StrategyCache:
 
     Hit and savings counters are per-instance (reset each run); the entry
     pool itself persists across restarts.
+
+    An instance also holds each dataset it ``put``, so a hit on an entry this
+    instance stored is served from memory once the file's SHA-256 still
+    equals the recorded fingerprint (``save_dataset`` writes exactly the
+    bytes the fingerprint hashes). A fresh instance holds nothing: hits on
+    entries from earlier runs parse the file and fingerprint what it read.
     """
 
     def __init__(self, root: str | Path, config_digest: str, seed: int) -> None:
@@ -71,8 +76,8 @@ class StrategyCache:
             (self.root / ENTRIES_DIR).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CacheError(f"cannot create cache root {self.root}: {exc}") from exc
-        self._lock = threading.Lock()
         self._entries: dict[tuple[str, str], CacheEntry] = {}
+        self._held: dict[tuple[str, str], Dataset] = {}
         self._hits = 0
         self._saved = 0
         for meta in sorted((self.root / ENTRIES_DIR).glob(f"*/{META_FILE}")):
@@ -111,42 +116,57 @@ class StrategyCache:
         """Persist a processed dataset. Re-putting an identical result is a
         no-op; a different result under the same key is an integrity error."""
         key = strategy_key(strategy, self.config_digest, self.seed)
-        with self._lock:
-            existing = self._entries.get((key, base_fingerprint))
-            if existing is not None:
-                if existing.result_fingerprint == result.fingerprint:
-                    return existing
-                raise CacheIntegrityError(
-                    f"cache already holds a different result for {key!r}"
-                )
-            entry_dir = self._entry_dir(key, base_fingerprint)
-            if entry_dir.is_symlink():  # skipped when opened; never write through it
-                entry_dir.unlink()
-            entry_dir.mkdir(parents=True, exist_ok=True)
-            meta_tmp = entry_dir / f"{META_FILE}.tmp"
-            for stale in (entry_dir / DATA_FILE, meta_tmp):  # unlinks a symlink, not its target
-                stale.unlink(missing_ok=True)
-            save_dataset(result, entry_dir / DATA_FILE)
-            entry = CacheEntry(
-                key=key,
-                strategy=strategy.canonical(),
-                base_fingerprint=base_fingerprint,
-                result_fingerprint=result.fingerprint,
-                storage_path=self._storage_path(entry_dir),
-                created_at=time.time(),
-                producer_round=producer_round,
+        existing = self._entries.get((key, base_fingerprint))
+        if existing is not None:
+            if existing.result_fingerprint == result.fingerprint:
+                return existing
+            raise CacheIntegrityError(
+                f"cache already holds a different result for {key!r}"
             )
-            meta_tmp.write_text(
-                json.dumps(asdict(entry), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
-            os.replace(meta_tmp, entry_dir / META_FILE)
-            self._entries[(key, base_fingerprint)] = entry
-            return entry
+        entry_dir = self._entry_dir(key, base_fingerprint)
+        if entry_dir.is_symlink():  # skipped when opened; never write through it
+            entry_dir.unlink()
+        entry_dir.mkdir(parents=True, exist_ok=True)
+        meta_tmp = entry_dir / f"{META_FILE}.tmp"
+        for stale in (entry_dir / DATA_FILE, meta_tmp):  # unlinks a symlink, not its target
+            stale.unlink(missing_ok=True)
+        save_dataset(result, entry_dir / DATA_FILE)
+        entry = CacheEntry(
+            key=key,
+            strategy=strategy.canonical(),
+            base_fingerprint=base_fingerprint,
+            result_fingerprint=result.fingerprint,
+            storage_path=self._storage_path(entry_dir),
+            created_at=time.time(),
+            producer_round=producer_round,
+        )
+        meta_tmp.write_text(
+            json.dumps(asdict(entry), sort_keys=True, indent=2) + "\n",
+            encoding="utf-8",
+        )
+        os.replace(meta_tmp, entry_dir / META_FILE)
+        self._entries[(key, base_fingerprint)] = entry
+        self._held[(key, base_fingerprint)] = result
+        return entry
 
     def load_entry(self, entry: CacheEntry) -> Dataset:
-        """Load a stored dataset, verifying its fingerprint."""
+        """Load a stored dataset, verifying its fingerprint. A dataset this
+        instance stored is returned as held, once its file's bytes hash to
+        the fingerprint, so a file damaged since is still caught."""
         path = self.root / entry.storage_path
+        held = self._held.get((entry.key, entry.base_fingerprint))
+        if held is not None and held.fingerprint == entry.result_fingerprint:
+            try:
+                stored = hashlib.sha256(path.read_bytes()).hexdigest()
+            except OSError as exc:
+                raise CacheIntegrityError(
+                    f"cannot read cached dataset {entry.key!r}: {exc}"
+                ) from exc
+            if stored != entry.result_fingerprint:
+                raise CacheIntegrityError(
+                    f"fingerprint mismatch for cached dataset {entry.key!r}"
+                )
+            return held
         try:
             dataset = load_dataset(path)
         except DatasetError as exc:
@@ -170,8 +190,8 @@ class StrategyCache:
         return None
 
     def evict(self, entry: CacheEntry) -> None:
-        with self._lock:
-            self._entries.pop((entry.key, entry.base_fingerprint), None)
+        self._entries.pop((entry.key, entry.base_fingerprint), None)
+        self._held.pop((entry.key, entry.base_fingerprint), None)
         entry_dir = (self.root / entry.storage_path).parent
         # meta first: a crash part-way never leaves a meta without its data
         for name in (META_FILE, DATA_FILE):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import tempfile
-import threading
 import time
 from bisect import bisect_right
 from itertools import count
@@ -96,14 +95,12 @@ class RunLog:
     def __init__(self, path: str | Path | None = None) -> None:
         self.path = Path(path) if path is not None else None
         self.records: list[dict] = []
-        self._lock = threading.Lock()
 
     def append(self, record: dict) -> None:
-        with self._lock:
-            self.records.append(record)
-            if self.path is not None:
-                with open(self.path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
+        self.records.append(record)
+        if self.path is not None:
+            with open(self.path, "a", encoding="utf-8") as handle:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _trainer_score(processed: Dataset, eval_cfg: EvalConfig, ctx: ExecutionContext) -> float:

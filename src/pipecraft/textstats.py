@@ -5,6 +5,12 @@ A text is cleaned, and its threshold statistics computed, once per run:
 by :func:`clear_run_memos` when each run starts and ends. A memo holds only
 pure functions of its key and so never changes an output.
 
+Passes that cannot change a text are skipped, with the same result:
+:func:`clean_text` returns a text unchanged when a few C-level string checks
+find nothing a cleaning pass would touch (``&``, ``<``, a control character,
+whitespace other than a single inner space), and :func:`tokenize` splits an
+ASCII text, which holds no CJK code point, with ``str.split``.
+
 Characters are classified as allowed or special through one ``str.translate``
 table, :data:`ALLOWED_CHARS`, so counting or dropping special characters runs
 in C. The table starts empty and classifies each code point the first time a
@@ -73,11 +79,28 @@ def _clean_once(text: str) -> str:
     return text.strip()
 
 
+def _is_clean(text: str) -> bool:
+    """True when ``text`` is a fixed point of :func:`_clean_once`. Unescaping
+    needs an ``&`` and a tag a ``<``; ``str.isprintable`` is false for every
+    control character and every whitespace character but the space, so the
+    whitespace collapse and strip need a double or an edge space."""
+    return (
+        text.isprintable()
+        and "&" not in text
+        and "<" not in text
+        and "  " not in text
+        and text[:1] != " "
+        and text[-1:] != " "
+    )
+
+
 @lru_cache(maxsize=PROFILE_MEMO_SIZE)
 def clean_text(text: str) -> str:
     """Remove markup tags, entity escapes, and control characters; collapse
     whitespace runs. Iterates to a fixed point so the result is idempotent
     even when unescaping exposes new markup."""
+    if _is_clean(text):
+        return text
     for _ in range(_MAX_CLEAN_PASSES):
         cleaned = _clean_once(text)
         if cleaned == text:
@@ -119,6 +142,8 @@ def special_char_ratio(text: str) -> float:
 
 def tokenize(text: str) -> list[str]:
     """Whitespace-split tokens, with every CJK codepoint its own token."""
+    if text.isascii():  # no CJK; str.split splits where \s matches
+        return text.split()
     return _TOKEN_RE.findall(text)
 
 
@@ -132,7 +157,7 @@ def _repetition(tokens: list[str], n: int) -> float:
     total = len(tokens) - n + 1
     if total < 1:
         return 0.0
-    grams = {tuple(tokens[i : i + n]) for i in range(total)}
+    grams = set(zip(*(tokens[i:] for i in range(n))))
     return 1.0 - len(grams) / total
 
 

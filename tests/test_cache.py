@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
@@ -24,7 +25,7 @@ from pipecraft.cache import (
 )
 from pipecraft.cli import main
 from pipecraft.config import OperatorConfig
-from pipecraft.corpus import load_dataset, save_dataset
+from pipecraft.corpus import Dataset, Sample, load_dataset, save_dataset
 from pipecraft.operators import ExecutionContext, apply_strategy
 from pipecraft.synthetic import messy_corpus
 from pipecraft.strategy import (
@@ -435,6 +436,70 @@ class TestTornEntry:
         direct = apply_strategy(Strategy((C, O, S, G)), corpus, make_ctx())
         assert lines(out) == lines(direct)
         assert (root / "index.jsonl").read_text(encoding="utf-8") == index
+
+
+def count_loads(monkeypatch) -> list[Path]:
+    """Record every ``corpus.load_dataset`` call made through the package."""
+    calls: list[Path] = []
+
+    def counting(path):
+        calls.append(Path(path))
+        return load_dataset(path)
+
+    for module in (pipecraft.corpus, pipecraft.cache, pipecraft.cli):
+        monkeypatch.setattr(module, "load_dataset", counting)
+    return calls
+
+
+class TestInRunHits:
+    def test_hit_returns_the_dataset_put_stored(self, cache, monkeypatch):
+        corpus = messy_test_corpus(6)
+        stored = cache.apply_with_reuse(Strategy((C, O)), corpus, make_ctx())
+        loads = count_loads(monkeypatch)
+        entry, _ = cache.find_longest_prefix(Strategy((C, O, S)), corpus.fingerprint)
+        assert cache.load_entry(entry) is stored
+        assert cache.apply_with_reuse(Strategy((C, O)), corpus, make_ctx()) is stored
+        assert loads == []
+
+    def test_fresh_instance_holds_nothing_and_parses(self, tmp_path, monkeypatch):
+        root, digest = tmp_path / "fresh", OperatorConfig().digest()
+        corpus = messy_test_corpus(6)
+        stored = StrategyCache(root, digest, seed=0).apply_with_reuse(
+            Strategy((C,)), corpus, make_ctx()
+        )
+        loads = count_loads(monkeypatch)
+        fresh = StrategyCache(root, digest, seed=0)
+        (entry,) = fresh.entries()
+        loaded = fresh.load_entry(entry)
+        assert loaded is not stored and lines(loaded) == lines(stored)
+        assert loads == [root / entry.storage_path]
+
+    def test_whole_run_loads_only_the_corpus(self, tmp_path, monkeypatch):
+        corpus_path = tmp_path / "corpus.jsonl"
+        save_dataset(messy_corpus(seed=10), corpus_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"dataset": str(corpus_path)}), encoding="utf-8")
+        loads = count_loads(monkeypatch)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["cache"]["hits"] > 0
+        assert loads == [corpus_path]
+
+    @pytest.mark.parametrize(
+        "dataset",
+        [
+            messy_test_corpus(7),
+            Dataset(()),
+            Dataset((Sample("s1", "line\u2028separator", "para\u2029graph\u0085end"),)),
+        ],
+        ids=["messy", "empty", "line-separators"],
+    )
+    def test_data_file_hashes_to_the_fingerprint(self, cache, dataset):
+        # the check an in-run hit makes on the file, instead of parsing it
+        entry = cache.put(Strategy((C,)), "base-fp", dataset)
+        data = (cache.root / entry.storage_path).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == entry.result_fingerprint
 
 
 class TestIntegrity:

@@ -17,10 +17,15 @@ from pipecraft.screener import heuristic_verdict
 from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import (
     _CONTROL_RE,
+    _MAX_CLEAN_PASSES,
+    _TOKEN_RE,
     PROFILE_MEMO_SIZE,
     REASON_NGRAM,
     REASON_SPECIAL_CHARS,
     REASON_TOKEN_COUNT,
+    _clean_once,
+    _is_clean,
+    _repetition,
     clean_text,
     is_allowed_char,
     length_adequacy,
@@ -170,7 +175,10 @@ def ref_tokenize(text: str) -> list[str]:
 
 
 def ref_ngram_ratio(text: str, n: int) -> float:
-    tokens = ref_tokenize(text)
+    return ref_repetition(ref_tokenize(text), n)
+
+
+def ref_repetition(tokens: list[str], n: int) -> float:
     total = len(tokens) - n + 1
     if total < 1:
         return 0.0
@@ -276,6 +284,88 @@ class TestControlCharacterRegex:
         every = "".join(map(chr, range(0x110000)))
         by_category = [ch for ch in every if unicodedata.category(ch) == "Cc"]
         assert _CONTROL_RE.findall(every) == by_category
+
+
+# ---------------------------------------------------------------------------
+# Fast paths: clean_text and tokenize skip passes that cannot change a text,
+# and _repetition builds its n-gram set with zip. The slow paths below (and
+# ref_repetition above) are the functions as they were before, kept as the
+# oracle.
+# ---------------------------------------------------------------------------
+
+
+def slow_clean_text(text: str) -> str:
+    for _ in range(_MAX_CLEAN_PASSES):
+        cleaned = _clean_once(text)
+        if cleaned == text:
+            return cleaned
+        text = cleaned
+    return text
+
+
+slow_tokenize = _TOKEN_RE.findall
+
+
+def in_context(chars: list[str]) -> list[str]:
+    """Each character alone, inside ``a…b`` and at either edge."""
+    return chars + [f"a{c}b" for c in chars] + [c + "b" for c in chars] + ["a" + c for c in chars]
+
+
+def code_point_texts():
+    """Every code point in context, one 4,096-point chunk at a time."""
+    for start in range(0, 0x110000, 1 << 12):
+        yield in_context(list(map(chr, range(start, min(start + (1 << 12), 0x110000)))))
+
+
+FAST_PATH_PIECES = [
+    "&", "<", ">", ";", " ", "\t", "\n", "\x00", "\x1f", "\x7f", "\x85", "\x9f",
+    "\xa0", "\u2028", "\u2003", "\u3000", "\u200b", "&amp;", "<b>", "a", "b", "xy",
+]
+CJK_PIECES = ["深", "度", "ひ", "カ", "한", "\U00020000"]
+
+
+def random_piece_texts(seed: int, pieces: list[str], count: int = 3000) -> list[str]:
+    """Seeded strings, each over three pieces drawn at random, so that a text
+    often holds one kind of noise and nothing else."""
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choices(rng.sample(pieces, 3), k=rng.randint(0, 12)))
+        for _ in range(count)
+    ]
+
+
+class TestFastPaths:
+    def test_clean_text_fast_path_on_every_code_point(self):
+        # where _is_clean is false, clean_text runs the slow path itself;
+        # every text it returns at once must be a slow-path fixed point
+        for texts in code_point_texts():
+            returned_at_once = list(filter(_is_clean, texts))
+            assert list(map(slow_clean_text, returned_at_once)) == returned_at_once
+
+    def test_clean_text_on_random_pieces(self):
+        texts = random_piece_texts(16, FAST_PATH_PIECES) + messy_texts()
+        assert any(map(_is_clean, texts))
+        for text in texts:
+            assert clean_text(text) == slow_clean_text(text), ascii(text)
+
+    def test_tokenize_fast_path_on_all_ascii(self):
+        # the fast path takes ASCII texts only, and any other text runs the
+        # slow path itself: every ASCII code point in context, and every pair
+        ascii_chars = list(map(chr, range(128)))
+        texts = in_context(ascii_chars) + [a + b for a in ascii_chars for b in ascii_chars]
+        assert list(map(tokenize, texts)) == list(map(slow_tokenize, texts))
+
+    def test_tokenize_on_random_pieces(self):
+        texts = random_piece_texts(17, FAST_PATH_PIECES + CJK_PIECES) + messy_texts()
+        for text in texts:
+            assert tokenize(text) == slow_tokenize(text), ascii(text)
+
+    def test_repetition_matches_set_of_slices(self):
+        rng = random.Random(18)
+        for _ in range(3000):
+            tokens = rng.choices("abcd", k=rng.randint(0, 9))
+            n = rng.randint(1, 5)
+            assert _repetition(tokens, n) == ref_repetition(tokens, n), (tokens, n)
 
 
 class TestRegexTokenizerEquivalence:
