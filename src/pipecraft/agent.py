@@ -22,7 +22,7 @@ from importlib import resources
 from .clients import AgentClient, ClientError
 from .config import RunConfig
 from .corpus import Dataset
-from .evaluation import EvaluationError, evaluate_strategy
+from .evaluation import ContainmentMemo, EvaluationError, evaluate_strategy
 from .operators import ExecutionContext
 from .sampling import EmbeddingError, stratified_sample
 from .strategy import (
@@ -320,9 +320,11 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
         )
     except EmbeddingError as exc:
         raise SearchError(f"sampling failed: {exc}") from exc
+    # the search's outputs share most of their texts: search each text once
+    memo = ContainmentMemo()
     try:
         baseline = evaluate_strategy(
-            EMPTY_STRATEGY, sampled, run_cfg.evaluation, ctx, round_index=0
+            EMPTY_STRATEGY, sampled, run_cfg.evaluation, ctx, round_index=0, memo=memo
         )
     except EvaluationError as exc:
         raise SearchError(f"baseline evaluation failed: {exc}") from exc
@@ -343,7 +345,7 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
         if strategy in scores:
             return scores[strategy]
         try:
-            raw = evaluate_strategy(strategy, sampled, run_cfg.evaluation, ctx, round_index)
+            raw = evaluate_strategy(strategy, sampled, run_cfg.evaluation, ctx, round_index, memo)
         except EvaluationError as exc:
             key = strategy.canonical()
             logger.warning("evaluation failed for %s: %s", key, exc)

@@ -6,6 +6,13 @@ desk-scale path is a deterministic proxy that scores dataset quality
 directly from four measurable components. The proxy is explicitly a
 stand-in: it makes the search loop testable end to end, while the trainer
 client is the faithful route.
+
+The proxy's uniqueness component counts a sample as a duplicate when its
+text equals, contains or is contained in an earlier sample's text. A search
+scores many outputs that share most of their texts, and containment between
+two strings never changes, so one ``ContainmentMemo`` per search records each
+containment once, when a text first arrives; every evaluation then reads its
+own pairs from it. A direct ``proxy_score`` call starts from an empty memo.
 """
 from __future__ import annotations
 
@@ -14,8 +21,9 @@ import math
 import tempfile
 import time
 from bisect import bisect_right
-from itertools import count
+from itertools import accumulate, count
 from pathlib import Path
+from typing import Iterable
 
 from .config import DEFAULT_PROXY_WEIGHTS, EvalConfig, OperatorConfig
 from .corpus import Dataset, save_dataset
@@ -28,50 +36,84 @@ class EvaluationError(RuntimeError):
     pass
 
 
-def _containment_duplicate_ratio(texts: list[str]) -> float:
+class ContainmentMemo:
+    """Which scored texts contain which, kept for one search.
+
+    ``holders`` maps each distinct non-empty text seen so far to the strictly
+    longer seen texts that contain it. Containment between two strings never
+    changes, so each text is searched for once, when it first arrives."""
+
+    def __init__(self) -> None:
+        self.holders: dict[str, list[str]] = {}
+        self._chars: set[str] = set()
+
+    def add(self, texts: Iterable[str]) -> None:
+        """Record every containment between the new texts among ``texts`` and
+        all texts seen so far: each new text is searched in every known text
+        longer than it, and each old text in the new texts longer than it."""
+        new = [text for text in dict.fromkeys(texts) if text and text not in self.holders]
+        if not new:
+            return
+        old = list(self.holders)
+        self.holders.update((text, []) for text in new)
+        self._chars.update("".join(new))
+        # a separator no text contains, so no match can span two texts
+        separator = next(chr(code) for code in count() if chr(code) not in self._chars)
+        self._search(new, list(self.holders), separator)
+        if old:
+            self._search(old, new, separator)
+
+    def _search(self, needles: list[str], haystacks: list[str], separator: str) -> None:
+        """Search each needle once, in the joined run of the haystacks strictly
+        longer than it, and note each haystack found as its holder."""
+        haystacks = sorted(haystacks, key=len)
+        lengths = [len(text) for text in haystacks]
+        starts = list(accumulate((length + 1 for length in lengths[:-1]), initial=0))
+        joined = separator.join(haystacks)
+        for needle in needles:
+            longer = bisect_right(lengths, len(needle))
+            position = joined.find(needle, starts[longer]) if longer < len(haystacks) else -1
+            while position >= 0:
+                holder = bisect_right(starts, position) - 1
+                self.holders[needle].append(haystacks[holder])
+                position = joined.find(needle, starts[holder] + lengths[holder] + 1)
+
+
+def _containment_duplicate_ratio(texts: list[str], memo: ContainmentMemo | None = None) -> float:
     """Fraction of samples whose text equals, contains, or is contained in an
     earlier sample's text; an empty text never contains or is contained.
 
-    Each distinct non-empty text is searched once, in the joined run of the
-    strictly longer distinct texts; each holder found flags whichever of the
-    pair came later."""
-    if len(texts) < 2:
+    The containments come from ``memo`` (a fresh one when none is given),
+    after it has taken in this call's texts; each containment between two of
+    them flags whichever text came later."""
+    if not texts:
         return 0.0
     first: dict[str, int] = {}
     for index, text in enumerate(texts):
         first.setdefault(text, index)
-    distinct = sorted((text for text in first if text), key=len)
-    used = set("".join(distinct))
-    # a separator no text contains, so no match can span two texts
-    separator = next(chr(code) for code in count() if chr(code) not in used)
-    joined = separator.join(distinct)
-    lengths = [len(text) for text in distinct]
-    starts = [0]
-    for length in lengths[:-1]:
-        starts.append(starts[-1] + length + 1)
+    memo = ContainmentMemo() if memo is None else memo
+    memo.add(first)
     flagged: set[str] = set()
-    for text in distinct:
-        longer = bisect_right(lengths, len(text))
-        if longer == len(distinct):
-            break
-        position = joined.find(text, starts[longer])
-        while position >= 0:
-            holder = bisect_right(starts, position) - 1
-            container = distinct[holder]
-            flagged.add(text if first[container] < first[text] else container)
-            position = joined.find(text, starts[holder] + lengths[holder] + 1)
+    for text, index in first.items():
+        for container in memo.holders.get(text, ()):
+            at = first.get(container)
+            if at is not None:
+                flagged.add(text if at < index else container)
     return (len(texts) - len(first) + len(flagged)) / len(texts)
 
 
-def proxy_components(dataset: Dataset, cfg: OperatorConfig) -> tuple[float, float, float, float]:
+def proxy_components(
+    dataset: Dataset, cfg: OperatorConfig, memo: ContainmentMemo | None = None
+) -> tuple[float, float, float, float]:
     """(threshold pass fraction, completeness, uniqueness, mean length adequacy),
-    each in [0, 1]. Empty datasets are handled by the caller."""
+    each in [0, 1]. Empty datasets are handled by the caller. Uniqueness reads
+    its containments from ``memo``, a fresh one when none is given."""
     n = len(dataset)
     texts = [sample.combined_text for sample in dataset]
     profiles = [text_profile(text, cfg.ngram.n) for text in texts]
     passing = sum(1 for profile in profiles if not violations(profile, cfg)) / n
     complete = sum(1 for s in dataset if s.question and s.answer) / n
-    uniqueness = 1.0 - _containment_duplicate_ratio(texts)
+    uniqueness = 1.0 - _containment_duplicate_ratio(texts, memo)
     adequacy = sum(profile.adequacy(cfg) for profile in profiles) / n
     return passing, complete, uniqueness, adequacy
 
@@ -80,11 +122,12 @@ def proxy_score(
     dataset: Dataset,
     weights: tuple[float, float, float, float] = DEFAULT_PROXY_WEIGHTS,
     cfg: OperatorConfig | None = None,
+    memo: ContainmentMemo | None = None,
 ) -> float:
     """Weighted sum of the four quality components; empty dataset scores 0."""
     if len(dataset) == 0:
         return 0.0
-    components = proxy_components(dataset, cfg or OperatorConfig())
+    components = proxy_components(dataset, cfg or OperatorConfig(), memo)
     score = math.fsum(w * c for w, c in zip(weights, components))
     return min(1.0, max(0.0, score))
 
@@ -92,15 +135,12 @@ def proxy_score(
 class RunLog:
     """Append-only structured log; one JSON record per line, single writer."""
 
-    def __init__(self, path: str | Path | None = None) -> None:
-        self.path = Path(path) if path is not None else None
-        self.records: list[dict] = []
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
 
     def append(self, record: dict) -> None:
-        self.records.append(record)
-        if self.path is not None:
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        with open(self.path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _trainer_score(processed: Dataset, eval_cfg: EvalConfig, ctx: ExecutionContext) -> float:
@@ -134,9 +174,12 @@ def evaluate_strategy(
     eval_cfg: EvalConfig,
     ctx: ExecutionContext,
     round_index: int = 0,
+    memo: ContainmentMemo | None = None,
 ) -> float:
     """Process ``base`` with ``f`` (reusing cached prefixes when a cache is
-    attached) and score the result. Appends one record to the run log."""
+    attached) and score the result. Appends one record to the run log. A
+    search passes one ``memo`` to all its evaluations, so the proxy searches
+    each text's containments once."""
     started = time.perf_counter()
     hits_before = ctx.cache.stats()["hits"] if ctx.cache is not None else 0
     with ctx.timer.phase("processing"):
@@ -148,7 +191,7 @@ def evaluate_strategy(
         if eval_cfg.mode == "trainer":
             score = _trainer_score(processed, eval_cfg, ctx)
         else:
-            score = proxy_score(processed, eval_cfg.proxy_weights, ctx.cfg)
+            score = proxy_score(processed, eval_cfg.proxy_weights, ctx.cfg, memo)
     hits_after = ctx.cache.stats()["hits"] if ctx.cache is not None else 0
     if ctx.run_log is not None:
         ctx.run_log.append(

@@ -422,11 +422,12 @@ class ExecutionContext:
         return sum(self.team_invocations.values())
 
 
-def _generation_shots(clean: Dataset, full: Dataset) -> list[Sample]:
-    shots = [s for s in clean if s.question and s.answer][:GENERATION_SHOT_COUNT]
-    if not shots:
-        shots = [s for s in full if s.question and s.answer][:GENERATION_SHOT_COUNT]
-    return shots
+def _generation_shots(dataset: Dataset, noisy: list[bool]) -> list[Sample]:
+    """The first complete samples the screener calls clean, else the first
+    complete samples of the dataset."""
+    complete = [(s, is_noisy) for s, is_noisy in zip(dataset, noisy) if s.question and s.answer]
+    shots = [s for s, is_noisy in complete if not is_noisy] or [s for s, _ in complete]
+    return shots[:GENERATION_SHOT_COUNT]
 
 
 def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
@@ -439,14 +440,14 @@ def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
         return apply_cleaning(dataset, ctx.cfg)
     if team is Team.SELECTION:
         return select_high_quality(dataset, ctx.scorer, ctx.cfg.selection_keep_fraction, ctx.seed)
+    noisy = [ctx.screener.classify(sample).is_noisy for sample in dataset]
     if team is Team.OPTIMIZATION:
         process = partial(optimize_sample, client=ctx.optimizer, seed=ctx.seed)
     else:  # Team.GENERATION
-        clean, _ = ctx.screener.partition(dataset)
-        shots = _generation_shots(clean, dataset)
+        shots = _generation_shots(dataset, noisy)
         process = partial(generate_missing, shots=shots, client=ctx.generator, seed=ctx.seed)
     return Dataset.from_samples(
-        process(sample) if ctx.screener.classify(sample).is_noisy else sample for sample in dataset
+        process(sample) if is_noisy else sample for sample, is_noisy in zip(dataset, noisy)
     )
 
 

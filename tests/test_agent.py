@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import math
 import random
@@ -272,6 +273,10 @@ def trainer_run_cfg(**overrides) -> RunConfig:
     return RunConfig(**defaults)
 
 
+def read_log(log: RunLog) -> list[dict]:
+    return [json.loads(line) for line in log.path.read_text(encoding="utf-8").splitlines()]
+
+
 def make_search_ctx(tmp_path, agent, trainer=None, run_log=None) -> ExecutionContext:
     cache = StrategyCache(tmp_path / "cache", OperatorConfig().digest(), seed=0)
     return ExecutionContext.with_defaults(
@@ -436,7 +441,7 @@ class TestRunSearch:
 
         group = "###Combination[1]###\nCleaning\n"
         agent = ScriptedAgent([group, NO_PROCESSING_MARKER])
-        log = RunLog()
+        log = RunLog(tmp_path / "run_log.jsonl")
         ctx = make_search_ctx(tmp_path, agent, trainer=ExplodingTrainer(), run_log=log)
         with pytest.raises(SearchError):
             # the baseline evaluation itself fails: surfaced as a search error
@@ -462,14 +467,14 @@ class TestRunSearchEvaluatorFailureMidRound:
 
         group = "###Combination[1]###\nCleaning\n\n###Combination[2]###\nSelection\n"
         agent = ScriptedAgent([group, NO_PROCESSING_MARKER])
-        log = RunLog()
+        log = RunLog(tmp_path / "run_log.jsonl")
         ctx = make_search_ctx(tmp_path, agent, trainer=FlakyTrainer(), run_log=log)
         result = run_search(corpus, trainer_run_cfg(max_rounds=2), ctx)
         (first_round,) = result.rounds
         assert first_round.scores[0] == float("-inf")
         assert first_round.relative_scores[0] == float("-inf")
         assert first_round.scores[1] == 0.6
-        assert any(r["event"] == "evaluation-error" for r in log.records)
+        assert any(r["event"] == "evaluation-error" for r in read_log(log))
 
 
 class TestSearchLoop:
@@ -486,10 +491,10 @@ class TestSearchLoop:
             "###Combination[1]###\nCleaning\n",
             f"{BEST_TEAM_MARKER}\n###Combination[1]###\nSelection\n",
         ])
-        log = RunLog()
+        log = RunLog(tmp_path / "run_log.jsonl")
         ctx = make_search_ctx(tmp_path, agent, trainer=FingerprintTrainer(table), run_log=log)
         result = run_search(corpus, trainer_run_cfg(), ctx)
-        events = [r for r in log.records
+        events = [r for r in read_log(log)
                   if r["event"] == "evaluation" and r["strategy"] == "Selection"]
         assert [r["round"] for r in events] == [2]
         assert result.best_strategy == selection

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import gc
+import json
 import random
+import weakref
+from collections import Counter
 
 import pytest
 
+from pipecraft import cli, evaluation
+from pipecraft.agent import HillClimbAgent, run_search
 from pipecraft.cache import StrategyCache
 from pipecraft.clients import TrainerClient
-from pipecraft.config import EvalConfig, OperatorConfig, TrainerConfig
-from pipecraft.corpus import Dataset, Sample
+from pipecraft.config import EvalConfig, OperatorConfig, RunConfig, TrainerConfig
+from pipecraft.corpus import Dataset, Sample, save_dataset
 from pipecraft.evaluation import (
+    ContainmentMemo,
     EvaluationError,
     RunLog,
     _containment_duplicate_ratio,
@@ -134,6 +141,96 @@ class TestContainmentScan:
             assert uniqueness == 1.0 - quadratic_duplicate_ratio(texts)
 
 
+def record_memos(monkeypatch) -> list[tuple[weakref.ref, int, list[str]]]:
+    """Patch ``ContainmentMemo.add`` to note, for each memo in order of first
+    use, a weak reference to it, how many texts it held when first used, and
+    the texts that entered it."""
+    memos: list[tuple[weakref.ref, int, list[str]]] = []
+    add = ContainmentMemo.add
+
+    def recording(self, texts):
+        record = next((record for record in memos if record[0]() is self), None)
+        if record is None:
+            record = (weakref.ref(self), len(self.holders), [])
+            memos.append(record)
+        before = set(self.holders)
+        add(self, texts)
+        record[2].extend(text for text in self.holders if text not in before)
+
+    monkeypatch.setattr(ContainmentMemo, "add", recording)
+    return memos
+
+
+class TestContainmentMemo:
+    def test_shared_memo_matches_oracle_on_every_call(self):
+        """Calls that share one memo and many of their texts each score what
+        the definition gives for that call's texts alone."""
+        rng = random.Random(2025)
+        for _ in range(300):
+            memo = ContainmentMemo()
+            seen: list[str] = []
+            for _ in range(rng.randint(2, 6)):
+                texts = containment_case(rng) + rng.sample(seen, min(len(seen), rng.randint(0, 10)))
+                rng.shuffle(texts)
+                seen += texts
+                assert _containment_duplicate_ratio(texts, memo) == \
+                    quadratic_duplicate_ratio(texts), texts
+
+    def test_later_texts_hold_earlier_separators(self):
+        """The first call is joined on ``\\0``, the second on ``\\x01``; later
+        texts hold those characters, alone and inside others. The last call's
+        new texts hold neither, so only the known texts rule both out."""
+        memo = ContainmentMemo()
+        calls = [
+            ["ab", "b", "xab", "b"],
+            ["\0", "a\0b", "ab", "b\0", "xab"],
+            ["\x01", "a\0b\x01", "\0", "b", "\x01\0"],
+            ["\0", "\x01", "xyz", "pqrs", "ab"],
+        ]
+        for texts in calls:
+            assert _containment_duplicate_ratio(texts, memo) == quadratic_duplicate_ratio(texts)
+        assert memo.holders["\0"] and memo.holders["\x01"]
+
+    def test_each_scored_text_enters_the_memo_once_per_run(
+        self, bench_corpora, tmp_path, monkeypatch
+    ):
+        memos = record_memos(monkeypatch)
+        scored: list[list[str]] = []
+        components = evaluation.proxy_components
+
+        def recording(dataset, *args):
+            scored.append([sample.combined_text for sample in dataset])
+            return components(dataset, *args)
+
+        monkeypatch.setattr(evaluation, "proxy_components", recording)
+        save_dataset(bench_corpora["distinct-3k"], tmp_path / "corpus.jsonl")
+        config = {"dataset": str(tmp_path / "corpus.jsonl"), "seed": 0, "sampling_rate": 0.2}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        args = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")]
+        assert cli.main(args) == 0
+        distinct = {text for texts in scored for text in texts if text}
+        # premise: the evaluations share most of their texts
+        assert len(scored) >= 5 and sum(len(set(texts)) for texts in scored) > 2 * len(distinct)
+        entered = Counter(text for _, _, texts in memos for text in texts)
+        assert set(entered) == distinct and set(entered.values()) == {1}
+        assert [held for _, held, _ in memos] == [0]
+
+    def test_memo_lives_one_search_or_one_direct_score(self, tmp_path, monkeypatch):
+        memos = record_memos(monkeypatch)
+        corpus = messy_test_corpus(6)
+        for name in ("first", "second"):
+            cache = StrategyCache(tmp_path / name, OperatorConfig().digest(), seed=0)
+            ctx = ExecutionContext.with_defaults(OperatorConfig(), cache=cache, agent=HillClimbAgent())
+            run_search(corpus, RunConfig(sampling_rate=0.5), ctx)
+        assert len(memos) == 2
+        assert [held for _, held, _ in memos] == [0, 0]
+        memos.clear()
+        proxy_score(corpus)
+        proxy_score(corpus)
+        gc.collect()
+        assert [(ref(), held) for ref, held, _ in memos] == [(None, 0), (None, 0)]
+
+
 def proxy_ctx(cache=None, run_log=None) -> ExecutionContext:
     return ExecutionContext.with_defaults(OperatorConfig(), cache=cache, run_log=run_log)
 
@@ -172,11 +269,11 @@ class TestEvaluateStrategy:
 
     def test_run_log_records_each_evaluation_once(self, tmp_path):
         corpus = messy_test_corpus(2)
-        log = RunLog(tmp_path / "log.jsonl")
-        ctx = proxy_ctx(run_log=log)
+        ctx = proxy_ctx(run_log=RunLog(tmp_path / "run_log.jsonl"))
         evaluate_strategy(EMPTY_STRATEGY, corpus, EvalConfig(), ctx, round_index=0)
         evaluate_strategy(Strategy((Team.CLEANING,)), corpus, EvalConfig(), ctx, round_index=1)
-        events = [r for r in log.records if r["event"] == "evaluation"]
+        records = (tmp_path / "run_log.jsonl").read_text(encoding="utf-8").splitlines()
+        events = [r for r in map(json.loads, records) if r["event"] == "evaluation"]
         assert [e["strategy"] for e in events] == ["NONE", "Cleaning"]
         for event in events:
             assert {"round", "score", "result_fingerprint", "wall_time_s", "cache_hits"} <= set(event)
