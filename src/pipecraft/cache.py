@@ -155,7 +155,7 @@ class StrategyCache:
         the fingerprint, so a file damaged since is still caught."""
         path = self.root / entry.storage_path
         held = self._held.get((entry.key, entry.base_fingerprint))
-        if held is not None and held.fingerprint == entry.result_fingerprint:
+        if held is not None:
             try:
                 stored = hashlib.sha256(path.read_bytes()).hexdigest()
             except OSError as exc:
@@ -236,9 +236,6 @@ class StrategyCache:
         return current
 
     # -- reporting / administration -----------------------------------------
-
-    def entries(self) -> list[CacheEntry]:
-        return list(self._entries.values())
 
     def stats(self) -> dict[str, int]:
         return {

@@ -80,39 +80,35 @@ def _densify_candidates(num_bins: int) -> np.ndarray:
 
 
 def _blocks(texts: Sequence[str], shingle_size: int):
-    """Yield ``(rows, windows, pieces)`` with at most ``SIGN_BLOCK_WINDOWS``
-    windows per block: piece ``i`` is a slice of text ``rows[i]`` holding
-    ``windows[i]`` whole windows. A text with more windows is split across
-    blocks; an empty text has no windows and appears in none."""
+    """Yield ``(rows, windows)``: whole texts packed in order, text
+    ``rows[i]`` holding ``windows[i]`` shingle windows, while a block holds
+    at most ``SIGN_BLOCK_WINDOWS`` windows. A text with more windows is a
+    block of its own; an empty text has no windows and appears in none."""
     rows: list[int] = []
     windows: list[int] = []
-    pieces: list[str] = []
-    room = SIGN_BLOCK_WINDOWS
+    total = 0
     for row, text in enumerate(texts):
-        total = max(len(text), shingle_size) - shingle_size + 1 if text else 0
-        start = 0
-        while start < total:
-            take = min(room, total - start)
-            rows.append(row)
-            windows.append(take)
-            pieces.append(text[start : start + take + shingle_size - 1])
-            start += take
-            room -= take
-            if not room:
-                yield rows, windows, pieces
-                rows, windows, pieces, room = [], [], [], SIGN_BLOCK_WINDOWS
+        if not text:
+            continue
+        count = max(len(text), shingle_size) - shingle_size + 1
+        if rows and total + count > SIGN_BLOCK_WINDOWS:
+            yield rows, windows
+            rows, windows, total = [], [], 0
+        rows.append(row)
+        windows.append(count)
+        total += count
     if rows:
-        yield rows, windows, pieces
+        yield rows, windows
 
 
-def _window_hashes(pieces: list[str], windows: np.ndarray, shingle_size: int) -> np.ndarray:
+def _window_hashes(texts: list[str], windows: np.ndarray, shingle_size: int) -> np.ndarray:
     """:func:`~pipecraft.textstats.ngram_hashes` of every shingle window of
-    the pieces, in order; piece ``i`` has ``windows[i]`` windows. A piece
+    the texts, in order; text ``i`` has ``windows[i]`` windows. A text
     shorter than a shingle is padded with 0x110000, which is not a code
-    point, to one window. The pieces are joined and hashed at once; the
-    windows that straddle two pieces are dropped."""
-    data = b"".join(piece.encode("utf-32-le") + _PAD_BYTES * (shingle_size - len(piece))
-                    for piece in pieces)
+    point, to one window. The texts are joined and hashed at once; the
+    windows that straddle two texts are dropped."""
+    data = b"".join(text.encode("utf-32-le") + _PAD_BYTES * (shingle_size - len(text))
+                    for text in texts)
     codes = np.frombuffer(data, dtype=np.uint32).astype(np.uint64)
     hashes = ngram_hashes(codes, shingle_size)
     ends = np.cumsum(windows + shingle_size - 1)[:-1]
@@ -128,14 +124,15 @@ def minhash_signature(texts: Sequence[str], cfg: MinhashConfig) -> np.ndarray:
     bin no window reached borrows the value of the first filled bin in its
     seeded candidate order (optimal densification), so every bin of every
     non-empty text is filled. An empty text has no shingles and gets the
-    sentinel row, so two empty texts still hash identically.
+    sentinel row, so two empty texts still hash identically. The texts are
+    hashed a block of whole texts at a time (see :func:`_blocks`).
     """
     num_bins = cfg.num_permutations
     bins = np.uint64(num_bins)
     signatures = np.full((len(texts), num_bins), _EMPTY_SENTINEL, dtype=np.uint64)
-    for rows, windows, pieces in _blocks(texts, cfg.shingle_size):
+    for rows, windows in _blocks(texts, cfg.shingle_size):
         counts = np.asarray(windows, dtype=np.intp)
-        hashes = _window_hashes(pieces, counts, cfg.shingle_size)
+        hashes = _window_hashes([texts[row] for row in rows], counts, cfg.shingle_size)
         # each window's cell in the flattened signature matrix
         cells = np.repeat(np.asarray(rows, dtype=np.intp) * num_bins, counts)
         np.add(cells, hashes % bins, out=cells, casting="unsafe")
@@ -169,29 +166,24 @@ def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
 
-def _signed_groups(dataset: Dataset, mcfg: MinhashConfig) -> tuple[list[list[int]], np.ndarray]:
-    """Sample indices grouped by shingle text, in order of first appearance,
-    and one signature row per group. The texts are freed on return, before
-    banding."""
-    groups: dict[str, list[int]] = defaultdict(list)
-    for idx, sample in enumerate(dataset):
-        groups[sample_shingle_text(sample)].append(idx)
-    return list(groups.values()), minhash_signature(list(groups), mcfg)
-
-
 def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int]]:
     """Index pairs (i < j) judged near-duplicates: LSH band collision followed
     by a signature-estimated Jaccard check against the threshold.
 
-    Samples with the same shingle text share one signature, computed once.
-    Such samples collide in every band with estimated Jaccard 1, so every
-    pair within a group passes (the threshold is at most 1); only the
-    distinct texts are banded, one band at a time, and checked against each
-    other. Each band's rows are grouped in numpy, so only texts that share a
-    band key with another reach Python.
+    Samples are grouped by shingle text, in order of first appearance, and
+    each group's text is signed once. Samples of one group collide in every
+    band with estimated Jaccard 1, so every pair within a group passes (the
+    threshold is at most 1); only the distinct texts are banded, one band at
+    a time, and checked against each other. Each band's rows are grouped in
+    numpy, so only texts that share a band key with another reach Python.
     """
     mcfg = cfg.minhash
-    members, signatures = _signed_groups(dataset, mcfg)
+    groups: dict[str, list[int]] = defaultdict(list)
+    for idx, sample in enumerate(dataset):
+        groups[sample_shingle_text(sample)].append(idx)
+    members = list(groups.values())
+    signatures = minhash_signature(list(groups), mcfg)
+    del groups  # the texts are not needed for banding
     pairs = {(i, j) for group in members for pos, i in enumerate(group) for j in group[pos + 1 :]}
     candidates: set[tuple[int, int]] = set()
     key_type = np.dtype((np.void, signatures.itemsize * mcfg.rows_per_band))
@@ -234,8 +226,6 @@ class _UnionFind:
 def minhash_dedup(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
     """Remove near-duplicates, keeping the earliest sample of each cluster;
     output order follows input order."""
-    if len(dataset) < 2:
-        return dataset
     uf = _UnionFind(len(dataset))
     for i, j in duplicate_pairs(dataset, cfg):
         uf.union(i, j)
@@ -344,8 +334,6 @@ def select_high_quality(
     failure scores that sample -inf."""
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    if len(dataset) == 0:
-        return dataset
     scores: list[float] = []
     for sample in dataset:
         try:

@@ -18,6 +18,7 @@ from pipecraft.cache import (
     DATA_FILE,
     LOCK_FILE,
     META_FILE,
+    CacheEntry,
     CacheError,
     CacheIntegrityError,
     CacheLock,
@@ -94,6 +95,11 @@ class TestOperatorRevision:
         assert reopened.find_longest_prefix(Strategy((C,)), "fp") is not None
 
 
+def entries_of(cache: StrategyCache) -> list[CacheEntry]:
+    """The entries a cache instance indexes, in the order it indexed them."""
+    return list(cache._entries.values())
+
+
 def is_prefix(a: Strategy, b: Strategy) -> bool:
     return b.teams[: len(a.teams)] == a.teams
 
@@ -101,7 +107,7 @@ def is_prefix(a: Strategy, b: Strategy) -> bool:
 def brute_force_longest_prefix(cache: StrategyCache, f: Strategy, base_fp: str):
     """Oracle: scan every entry, filter, take the longest prefix."""
     best = None
-    for entry in cache.entries():
+    for entry in entries_of(cache):
         if entry.base_fingerprint != base_fp:
             continue
         strategy = parse_strategy(entry.strategy)
@@ -179,7 +185,7 @@ class TestApplyWithReuse:
         corpus = messy_test_corpus(0)
         f = Strategy((C, O))
         out = cache.apply_with_reuse(f, corpus, make_ctx())
-        cached = {entry.strategy for entry in cache.entries()}
+        cached = {entry.strategy for entry in entries_of(cache)}
         assert cached == {"Cleaning", "Cleaning -> Optimization"}
         direct = apply_strategy(f, corpus, make_ctx())
         assert out.fingerprint == direct.fingerprint
@@ -255,10 +261,10 @@ class TestPersistence:
         corpus = messy_test_corpus(6)
         cache1 = StrategyCache(root, digest, seed=0)
         cache1.apply_with_reuse(Strategy((C, O)), corpus, make_ctx())
-        entries_before = {e.key for e in cache1.entries()}
+        entries_before = {e.key for e in entries_of(cache1)}
 
         cache2 = StrategyCache(root, digest, seed=0)
-        assert {e.key for e in cache2.entries()} == entries_before
+        assert {e.key for e in entries_of(cache2)} == entries_before
         ctx = make_ctx()
         cache2.apply_with_reuse(Strategy((C, O, S)), corpus, ctx)
         assert ctx.team_invocations == {S: 1}
@@ -277,7 +283,7 @@ class TestPersistence:
 def _newest_meta(root):
     """Path of the metadata file of the entry written last."""
     cache = StrategyCache(root, OperatorConfig().digest(), seed=0)
-    newest = max(cache.entries(), key=lambda e: e.created_at)
+    newest = max(entries_of(cache), key=lambda e: e.created_at)
     return (root / newest.storage_path).parent / META_FILE
 
 
@@ -306,12 +312,12 @@ class TestTornEntry:
             # only the whole file without its final newline still decodes
             decodes = cut == len(raw) - 1
             loaded = prefixes if decodes else prefixes - {f.canonical()}
-            assert {e.strategy for e in cache.entries()} == loaded
+            assert {e.strategy for e in entries_of(cache)} == loaded
             assert bool(caplog.records) == (not decodes)
             out = cache.apply_with_reuse(f, corpus, make_ctx())
             assert lines(out) == lines(direct)
             reopened = StrategyCache(root, digest, seed=0)
-            assert {e.strategy for e in reopened.entries()} == prefixes
+            assert {e.strategy for e in entries_of(reopened)} == prefixes
 
     def test_run_on_torn_meta_matches_clean_run(self, tmp_path, capsys):
         corpus_path = tmp_path / "corpus.jsonl"
@@ -347,12 +353,12 @@ class TestTornEntry:
         meta.unlink()
         assert (meta.parent / DATA_FILE).exists()
         cache = StrategyCache(root, digest, seed=0)
-        assert [e.strategy for e in cache.entries()] == ["Cleaning"]
+        assert [e.strategy for e in entries_of(cache)] == ["Cleaning"]
         ctx = make_ctx()
         out = cache.apply_with_reuse(f, corpus, ctx)
         assert ctx.team_invocations == {O: 1}
         assert lines(out) == lines(apply_strategy(f, corpus, make_ctx()))
-        assert len(StrategyCache(root, digest, seed=0).entries()) == 2
+        assert len(entries_of(StrategyCache(root, digest, seed=0))) == 2
 
     @pytest.mark.parametrize("leftover", [DATA_FILE, f"{META_FILE}.tmp"])
     def test_put_never_writes_through_a_leftover_symlink(self, tmp_path, leftover):
@@ -368,12 +374,12 @@ class TestTornEntry:
         (entry_dir / leftover).unlink(missing_ok=True)
         (entry_dir / leftover).symlink_to(outside)
         cache = StrategyCache(root, digest, seed=0)
-        assert cache.entries() == []
+        assert entries_of(cache) == []
         entry = cache.put(Strategy((C,)), "fp", corpus)
         assert outside.read_text(encoding="utf-8") == "not the cache's\n"
         assert not any(path.is_symlink() for path in entry_dir.iterdir())
         reopened = StrategyCache(root, digest, seed=0)
-        assert reopened.entries() == [entry]
+        assert entries_of(reopened) == [entry]
         assert lines(reopened.load_entry(entry)) == lines(corpus)
 
     def test_lock_naming_dead_pid_does_not_block(self, tmp_path):
@@ -423,13 +429,13 @@ class TestTornEntry:
         writer = StrategyCache(root, digest, seed=0)
         writer.apply_with_reuse(Strategy((C, O, S)), corpus, make_ctx())
         index = "".join(
-            json.dumps(asdict(entry), sort_keys=True) + "\n" for entry in writer.entries()
+            json.dumps(asdict(entry), sort_keys=True) + "\n" for entry in entries_of(writer)
         )
         (root / "index.jsonl").write_text(index, encoding="utf-8")
         (root / LOCK_FILE).write_text(str(_dead_pid()), encoding="ascii")
         with CacheLock(root):
             cache = StrategyCache(root, digest, seed=0)
-            assert {e.key for e in cache.entries()} == {e.key for e in writer.entries()}
+            assert {e.key for e in entries_of(cache)} == {e.key for e in entries_of(writer)}
             ctx = make_ctx()
             out = cache.apply_with_reuse(Strategy((C, O, S, G)), corpus, ctx)
         assert ctx.team_invocations == {G: 1}
@@ -469,7 +475,7 @@ class TestInRunHits:
         )
         loads = count_loads(monkeypatch)
         fresh = StrategyCache(root, digest, seed=0)
-        (entry,) = fresh.entries()
+        (entry,) = entries_of(fresh)
         loaded = fresh.load_entry(entry)
         assert loaded is not stored and lines(loaded) == lines(stored)
         assert loads == [root / entry.storage_path]
@@ -510,7 +516,7 @@ class TestIntegrity:
     def test_corruption_detected_and_recovered(self, cache):
         corpus = messy_test_corpus(7)
         cache.apply_with_reuse(Strategy((C,)), corpus, make_ctx())
-        entry = cache.entries()[0]
+        entry = entries_of(cache)[0]
         path = cache.root / entry.storage_path
         raw = path.read_bytes()
         path.write_bytes(raw[:50] + b"X" + raw[51:])
@@ -527,7 +533,7 @@ class TestIntegrity:
     def test_corrupt_longest_prefix_falls_back_to_shorter_prefix(self, cache, caplog):
         corpus = messy_test_corpus(9)
         cache.apply_with_reuse(Strategy((C, O)), corpus, make_ctx())
-        (entry,) = [e for e in cache.entries() if e.strategy == "Cleaning -> Optimization"]
+        (entry,) = [e for e in entries_of(cache) if e.strategy == "Cleaning -> Optimization"]
         path = cache.root / entry.storage_path
         raw = path.read_bytes()
         path.write_bytes(raw[:50] + b"X" + raw[51:])

@@ -85,7 +85,11 @@ class TestDedup:
         assert len(deduped) == 2
 
     def test_empty_dataset_passes_through(self, cfg):
-        assert len(minhash_dedup(Dataset.from_samples(()), cfg)) == 0
+        assert minhash_dedup(Dataset.from_samples(()), cfg) == Dataset.from_samples(())
+
+    def test_single_sample_passes_through(self, cfg):
+        corpus = clean_corpus(1, seed=4)
+        assert minhash_dedup(corpus, cfg) == corpus
 
     def test_order_preserved(self, cfg):
         corpus = clean_corpus(12, seed=3)
@@ -230,7 +234,7 @@ HASHING_CORPORA = {
 
 def signature_texts(seed: int, n: int = 400, max_len: int = 30) -> list[str]:
     """Random Unicode texts with astral code points, empty texts and texts
-    shorter than a shingle, plus a few long enough to span signing blocks."""
+    shorter than a shingle, plus one of up to 900 code points."""
     rng = random.Random(seed)
     texts = [random_unicode(rng, max_len) for _ in range(n)]
     return texts + ["", "x", "".join(random_unicode(rng, 300) for _ in range(3))]
@@ -263,10 +267,22 @@ class TestHashingExactness:
 
     @pytest.mark.parametrize("block", [1, 64])
     def test_signatures_across_block_boundaries(self, block, cfg, monkeypatch):
+        """At a block of 1 window every text is a block of its own; at 64,
+        whole texts share blocks and any text of more windows is alone."""
         texts = signature_texts(5, n=60)
         expected = minhash_signature(texts, cfg.minhash)
         assert np.array_equal(expected, np.stack([oph_signature(t, cfg.minhash) for t in texts]))
         monkeypatch.setattr(operators, "SIGN_BLOCK_WINDOWS", block)
+        assert np.array_equal(minhash_signature(texts, cfg.minhash), expected)
+
+    def test_text_longer_than_a_block_between_short_texts(self, cfg, monkeypatch):
+        monkeypatch.setattr(operators, "SIGN_BLOCK_WINDOWS", 16)
+        long_text = "a long text with 🦊 astral foxes 🦊 in it, " * 3
+        texts = ["ab", "", "short text", long_text, "", "x", "tail text"]
+        size = cfg.minhash.shingle_size
+        assert list(operators._blocks(texts, size)) == [
+            ([0, 2], [1, 6]), ([3], [len(long_text) - size + 1]), ([5, 6], [1, 5])]
+        expected = np.stack([oph_signature(t, cfg.minhash) for t in texts])
         assert np.array_equal(minhash_signature(texts, cfg.minhash), expected)
 
     def test_single_window_text_fills_every_bin(self, cfg):
@@ -556,6 +572,21 @@ class TestSelectHighQuality:
         corpus = self._corpus()
         out = select_high_quality(corpus, ConstantScorer(), 1.0)
         assert out.fingerprint == corpus.fingerprint
+
+    def test_empty_dataset_makes_no_scorer_call(self):
+        scorer = ConstantScorer()
+        assert select_high_quality(self._corpus(0), scorer, 0.25) == self._corpus(0)
+        assert scorer.calls == 0
+
+    def test_single_sample_is_kept(self):
+        """One sample is scored, as every sample is, and kept: ``ceil`` of
+        any keep fraction of 1 is 1, whatever the score."""
+        def down(req):
+            raise RuntimeError("down")
+
+        scorer = ScriptedModelClient("scorer", down)
+        assert select_high_quality(self._corpus(1), scorer, 0.25) == self._corpus(1)
+        assert scorer.calls == 1
 
     def test_stated_tie_break(self):
         # scores 0.9, 0.1, 0.5, 0.5 keep half: top-2 are positions 0 and 2

@@ -1,10 +1,13 @@
 """Guard against dead surface in the package.
 
 Every module-level function or class in ``src/pipecraft``, and every method
-other than a dunder, must be named somewhere a program reads it: in another
-place of ``src/pipecraft`` (``__init__.py`` re-exports do not count), in
-``bench/`` or in ``demos/``. A name that only tests read is a test helper
-living in production code; delete it or move it into the tests.
+other than a dunder, must be read by a program: in another place of
+``src/pipecraft`` (``__init__.py`` re-exports do not count), in ``bench/`` or
+in ``demos/``. A function or class is read where its name appears as a whole
+word; a method only where it is read as an attribute (``.name``), so an
+attribute or a string that merely contains the word does not count. A name
+that only tests read is a test helper living in production code; delete it
+or move it into the tests.
 """
 from __future__ import annotations
 
@@ -22,20 +25,21 @@ ALLOWED = {
 
 
 def _definitions(path: Path):
-    """(name, first line, last line) of each module-level function and class
-    and of each non-dunder method."""
+    """(name, reader pattern, first line, last line) of each module-level
+    function and class and of each non-dunder method."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
         if not isinstance(node, kinds):
             continue
-        yield node.name, node.lineno, node.end_lineno
+        yield node.name, rf"\b{re.escape(node.name)}\b", node.lineno, node.end_lineno
         if isinstance(node, ast.ClassDef):
             for child in node.body:
                 if isinstance(child, kinds[:2]) and not (
                     child.name.startswith("__") and child.name.endswith("__")
                 ):
-                    yield child.name, child.lineno, child.end_lineno
+                    yield (child.name, rf"\.{re.escape(child.name)}\b", child.lineno,
+                           child.end_lineno)
 
 
 def _reader_files() -> list[Path]:
@@ -50,10 +54,10 @@ def unread() -> dict[str, str]:
     sources = {path: path.read_text(encoding="utf-8").splitlines() for path in _reader_files()}
     found = {}
     for module in sorted(PACKAGE.glob("*.py")):
-        for name, first, last in _definitions(module):
-            word = re.compile(rf"\b{re.escape(name)}\b")
+        for name, pattern, first, last in _definitions(module):
+            reader = re.compile(pattern)
             if not any(
-                word.search(line)
+                reader.search(line)
                 for path, lines in sources.items()
                 for number, line in enumerate(lines, start=1)
                 if not (path == module and first <= number <= last)
