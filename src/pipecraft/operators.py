@@ -17,7 +17,9 @@ a shingle is a window of code points, hashed by
 one-permutation hashing with optimal densification (Li, Owen & Zhang 2012;
 Shrivastava 2017) spreads each text's window hashes over
 ``num_permutations`` bins. Identical texts share a signature and are always
-duplicates of each other.
+duplicates of each other. Clusters are formed over the distinct texts: one
+union-find joins the near-duplicate pairs of texts, and each cluster keeps
+the earliest sample of its texts, so no pair of copies is ever built.
 
 A change that can alter any team's output for the same config and seed must
 bump :data:`pipecraft.strategy.OPERATOR_REVISION`, which cache keys bind.
@@ -166,15 +168,14 @@ def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
     return float(np.mean(sig_a == sig_b))
 
 
-def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int]]:
-    """Index pairs (i < j) judged near-duplicates: LSH band collision followed
-    by a signature-estimated Jaccard check against the threshold.
-
-    Samples are grouped by shingle text, in order of first appearance, and
-    each group's text is signed once. Samples of one group collide in every
-    band with estimated Jaccard 1, so every pair within a group passes (the
-    threshold is at most 1); only the distinct texts are banded, one band at
-    a time, and checked against each other. Each band's rows are grouped in
+def _near_duplicate_texts(
+    dataset: Dataset, cfg: OperatorConfig
+) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """``(members, near)``: ``members[g]`` lists, ascending, the samples
+    whose shingle text is the ``g``-th distinct one to appear, and ``near``
+    the group pairs ``(g, h)``, ``g < h``, judged near-duplicates: LSH band
+    collision, then a signature-estimated Jaccard check. Each text is signed
+    once and only the distinct texts are banded, one band at a time, in
     numpy, so only texts that share a band key with another reach Python.
     """
     mcfg = cfg.minhash
@@ -184,7 +185,6 @@ def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int
     members = list(groups.values())
     signatures = minhash_signature(list(groups), mcfg)
     del groups  # the texts are not needed for banding
-    pairs = {(i, j) for group in members for pos, i in enumerate(group) for j in group[pos + 1 :]}
     candidates: set[tuple[int, int]] = set()
     key_type = np.dtype((np.void, signatures.itemsize * mcfg.rows_per_band))
     for band in range(mcfg.bands):
@@ -198,9 +198,24 @@ def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int
             gids = gids.tolist()
             for pos, g in enumerate(gids):
                 candidates.update((g, h) for h in gids[pos + 1 :])
-    for g, h in candidates:
-        if estimated_jaccard(signatures[g], signatures[h]) >= mcfg.jaccard_threshold:
-            pairs.update((min(i, j), max(i, j)) for i in members[g] for j in members[h])
+    near = [(g, h) for g, h in candidates
+            if estimated_jaccard(signatures[g], signatures[h]) >= mcfg.jaccard_threshold]
+    return members, near
+
+
+def duplicate_pairs(dataset: Dataset, cfg: OperatorConfig) -> set[tuple[int, int]]:
+    """Index pairs (i < j) judged near-duplicates: LSH band collision followed
+    by a signature-estimated Jaccard check against the threshold.
+
+    This is the sample-pair expansion of :func:`_near_duplicate_texts`.
+    Samples with the same shingle text collide in every band with estimated
+    Jaccard 1, so every pair within a group passes (the threshold is at most
+    1); a near pair of groups contributes every pair of their samples.
+    """
+    members, near = _near_duplicate_texts(dataset, cfg)
+    pairs = {(i, j) for group in members for pos, i in enumerate(group) for j in group[pos + 1 :]}
+    for g, h in near:
+        pairs.update((min(i, j), max(i, j)) for i in members[g] for j in members[h])
     return pairs
 
 
@@ -225,12 +240,16 @@ class _UnionFind:
 
 def minhash_dedup(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
     """Remove near-duplicates, keeping the earliest sample of each cluster;
-    output order follows input order."""
-    uf = _UnionFind(len(dataset))
-    for i, j in duplicate_pairs(dataset, cfg):
-        uf.union(i, j)
-    kept = [s for idx, s in enumerate(dataset) if uf.find(idx) == idx]
-    return Dataset.from_samples(kept)
+    output order follows input order. The union-find runs over distinct
+    texts, numbered by first sample, so each root's group holds its
+    cluster's earliest sample; no sample pair is built."""
+    members, near = _near_duplicate_texts(dataset, cfg)
+    uf = _UnionFind(len(members))
+    for g, h in near:
+        uf.union(g, h)
+    return Dataset.from_samples(
+        dataset[group[0]] for g, group in enumerate(members) if uf.find(g) == g
+    )
 
 
 # ---------------------------------------------------------------------------

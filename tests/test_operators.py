@@ -22,6 +22,7 @@ from pipecraft.operators import (
     minhash_dedup,
     minhash_signature,
     optimize_sample,
+    passes_filters,
     sample_shingle_text,
     select_high_quality,
     strip_noise,
@@ -122,6 +123,111 @@ class TestDedup:
             agreements += lsh_says_dup == oracle_says_dup
         assert checked > 100
         assert agreements / checked >= 0.9
+
+
+def oracle_dedup(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
+    """Sample-level reference for ``minhash_dedup``: union-find over every
+    duplicate sample pair, keeping the smallest index of each component."""
+    parent = list(range(len(dataset)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j in duplicate_pairs(dataset, cfg):
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    return Dataset.from_samples(s for idx, s in enumerate(dataset) if find(idx) == idx)
+
+
+def edited_corpus(seed: int, n: int = 90) -> Dataset:
+    """Exact copies and chains of edits (one to four answer words replaced)
+    of eight base samples, in shuffled order. An edited text is a distinct
+    shingle text, so only the LSH Jaccard check can join it to another; an
+    edit of an edit can join texts that are not near each other."""
+    rng = random.Random(seed)
+    texts = [(s.question, s.answer) for s in clean_corpus(8, seed=seed + 200)]
+    samples = []
+    for i in range(n):
+        question, answer = rng.choice(texts)
+        if rng.random() < 0.5:
+            words = answer.split()
+            for _ in range(rng.randint(1, 4)):
+                words[rng.randrange(len(words))] = make_words(rng, 1)
+            answer = " ".join(words)
+            texts.append((question, answer))
+        samples.append(Sample(id=f"e{i:03d}", question=question, answer=answer))
+    rng.shuffle(samples)
+    return Dataset.from_samples(samples)
+
+
+def chain_texts() -> list[str]:
+    """Answers A, B, C where A~B and B~C pass the check but A~C does not:
+    B replaces A's first three words, C replaces B's last three."""
+    words = [f"alpha{k:02d}" for k in range(40)]
+    b = [f"beta{k:02d}" for k in range(3)] + words[3:]
+    c = b[:37] + [f"gamma{k:02d}" for k in range(37, 40)]
+    return [" ".join(text) for text in (words, b, c)]
+
+
+class TestTextClustering:
+    """``minhash_dedup`` clusters distinct texts; it must keep exactly what a
+    union-find over every duplicate sample pair keeps."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_sample_pair_oracle_on_edited_variants(self, seed, cfg):
+        corpus = edited_corpus(seed)
+        texts = [sample_shingle_text(s) for s in corpus]
+        # premise: some duplicate pairs join distinct texts (the Jaccard path)
+        assert any(texts[i] != texts[j] for i, j in duplicate_pairs(corpus, cfg))
+        assert minhash_dedup(corpus, cfg) == oracle_dedup(corpus, cfg)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_sample_pair_oracle_on_copies(self, seed, cfg):
+        corpus = copies_corpus(seed=seed)
+        assert minhash_dedup(corpus, cfg) == oracle_dedup(corpus, cfg)
+
+    @pytest.mark.parametrize("order", itertools.permutations(range(3)))
+    def test_chain_collapses_to_earliest_sample(self, order, cfg):
+        chain = chain_texts()
+        rng = random.Random(1)
+        fillers = [clean_sample(f"f{k}", rng) for k in range(2)]
+        first, second, third = (Sample(id=f"t{k}", question="chain", answer=chain[k])
+                                for k in order)
+        copy = Sample(id="copy", question="chain", answer=first.answer)
+        corpus = Dataset.from_samples([first, fillers[0], second, copy, third, fillers[1]])
+        text_of = [sample_shingle_text(s) for s in corpus]
+        joined = {frozenset((text_of[i], text_of[j])) for i, j in duplicate_pairs(corpus, cfg)
+                  if text_of[i] != text_of[j]}
+        a, b, c = (sample_shingle_text(Sample(id="x", question="chain", answer=t)) for t in chain)
+        # premise: A~B and B~C pass, A~C does not
+        assert joined == {frozenset((a, b)), frozenset((b, c))}
+        deduped = minhash_dedup(corpus, cfg)
+        assert [s.id for s in deduped] == [first.id, "f0", "f1"]
+        assert deduped == oracle_dedup(corpus, cfg)
+
+    def test_run_path_builds_no_sample_pair(self, bench_corpora, cfg, monkeypatch):
+        corpus = bench_corpora["replicated-2k"]
+        deduped = oracle_dedup(corpus, cfg)
+        cleaned = Dataset.from_samples(
+            s for s in map(strip_noise, deduped) if passes_filters(s.combined_text, cfg))
+        distinct_texts = len({sample_shingle_text(s) for s in corpus})
+        sizes = []
+        union_find = operators._UnionFind
+
+        def sized(size):
+            sizes.append(size)
+            return union_find(size)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample pairs expanded")
+
+        monkeypatch.setattr(operators, "duplicate_pairs", refuse)
+        monkeypatch.setattr(operators, "_UnionFind", sized)
+        assert minhash_dedup(corpus, cfg) == deduped
+        assert apply_cleaning(corpus, cfg) == cleaned
+        assert sizes == [distinct_texts, distinct_texts]
 
 
 # Reference versions of the MinHash layer as it was before one-permutation
