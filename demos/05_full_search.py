@@ -15,7 +15,7 @@ run_cfg = RunConfig(sampling_rate=1.0)
 with tempfile.TemporaryDirectory() as root:
     cache = StrategyCache(root, run_cfg.operators.digest(), run_cfg.seed)
     ctx = ExecutionContext.with_defaults(
-        run_cfg.operators, cache=cache, agent=HillClimbAgent()
+        run_cfg.operators, seed=run_cfg.seed, cache=cache, agent=HillClimbAgent()
     )
     result = run_search(corpus, run_cfg, ctx)
 

@@ -3,9 +3,10 @@
 Every processed dataset is persisted under a key binding the producing
 strategy prefix, the operator-config digest, the run seed, and the input
 dataset's fingerprint. A later strategy sharing a cached prefix loads the
-prefix's result and applies only its remaining suffix teams. Reuse is only
-sound when operators behave deterministically, which is why config digest
-and seed are part of the key.
+prefix's result and applies only its remaining suffix teams. A hit must
+equal a recompute: operators must be deterministic, hence the digest and
+seed in the key, and every hit, like ``cache verify``, admits an entry only
+if its data file's SHA-256 equals the fingerprint recorded when stored.
 
 Layout: one directory per entry, holding the dataset file and the entry's
 metadata file. The metadata is written last, by rename, so an entry exists
@@ -24,7 +25,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .config import from_json
-from .corpus import Dataset, DatasetError, load_dataset, save_dataset
+from .corpus import Dataset, DatasetError, parse_dataset, save_dataset
 from .operators import ExecutionContext, apply_team
 from .strategy import Strategy, strategy_key
 
@@ -61,11 +62,11 @@ class StrategyCache:
     Hit and savings counters are per-instance (reset each run); the entry
     pool itself persists across restarts.
 
-    An instance also holds each dataset it ``put``, so a hit on an entry this
-    instance stored is served from memory once the file's SHA-256 still
-    equals the recorded fingerprint (``save_dataset`` writes exactly the
-    bytes the fingerprint hashes). A fresh instance holds nothing: hits on
-    entries from earlier runs parse the file and fingerprint what it read.
+    An instance also holds each dataset it ``put``. Every hit reads the
+    entry's data file and admits it only if its SHA-256 equals the recorded
+    fingerprint (``save_dataset`` writes exactly the bytes the fingerprint
+    hashes); the hit then returns the held dataset, or, on an entry from an
+    earlier run, the dataset parsed from those same bytes.
     """
 
     def __init__(self, root: str | Path, config_digest: str, seed: int) -> None:
@@ -113,16 +114,9 @@ class StrategyCache:
         result: Dataset,
         producer_round: int = 0,
     ) -> CacheEntry:
-        """Persist a processed dataset. Re-putting an identical result is a
-        no-op; a different result under the same key is an integrity error."""
+        """Persist a processed dataset under a key not yet indexed, as
+        ``apply_with_reuse`` does under the root's exclusive ``CacheLock``."""
         key = strategy_key(strategy, self.config_digest, self.seed)
-        existing = self._entries.get((key, base_fingerprint))
-        if existing is not None:
-            if existing.result_fingerprint == result.fingerprint:
-                return existing
-            raise CacheIntegrityError(
-                f"cache already holds a different result for {key!r}"
-            )
         entry_dir = self._entry_dir(key, base_fingerprint)
         if entry_dir.is_symlink():  # skipped when opened; never write through it
             entry_dir.unlink()
@@ -150,32 +144,24 @@ class StrategyCache:
         return entry
 
     def load_entry(self, entry: CacheEntry) -> Dataset:
-        """Load a stored dataset, verifying its fingerprint. A dataset this
-        instance stored is returned as held, once its file's bytes hash to
-        the fingerprint, so a file damaged since is still caught."""
+        """Load a stored dataset once its file's bytes hash to the recorded
+        fingerprint, so a file damaged or rewritten since it was stored is
+        caught. The dataset this instance stored is returned as held; any
+        other is parsed from the bytes the check hashed."""
         path = self.root / entry.storage_path
+        try:
+            data = path.read_bytes()
+        except OSError as exc:
+            raise CacheIntegrityError(f"cannot read cached dataset {entry.key!r}: {exc}") from exc
+        if hashlib.sha256(data).hexdigest() != entry.result_fingerprint:
+            raise CacheIntegrityError(f"fingerprint mismatch for cached dataset {entry.key!r}")
         held = self._held.get((entry.key, entry.base_fingerprint))
         if held is not None:
-            try:
-                stored = hashlib.sha256(path.read_bytes()).hexdigest()
-            except OSError as exc:
-                raise CacheIntegrityError(
-                    f"cannot read cached dataset {entry.key!r}: {exc}"
-                ) from exc
-            if stored != entry.result_fingerprint:
-                raise CacheIntegrityError(
-                    f"fingerprint mismatch for cached dataset {entry.key!r}"
-                )
             return held
         try:
-            dataset = load_dataset(path)
+            return parse_dataset(data, path)
         except DatasetError as exc:
             raise CacheIntegrityError(f"cannot load cached dataset {entry.key!r}: {exc}") from exc
-        if dataset.fingerprint != entry.result_fingerprint:
-            raise CacheIntegrityError(
-                f"fingerprint mismatch for cached dataset {entry.key!r}"
-            )
-        return dataset
 
     def find_longest_prefix(
         self, f: Strategy, base_fingerprint: str
@@ -215,7 +201,11 @@ class StrategyCache:
         and caching every newly produced intermediate prefix result.
 
         A corrupt cached entry is evicted and processing falls back to the
-        next-longest prefix (ultimately the raw base)."""
+        next-longest prefix (ultimately the raw base). The context must run
+        under the config and seed the cache keys its entries by."""
+        if (ctx.cfg.digest(), ctx.seed) != (self.config_digest, self.seed):
+            raise CacheError(f"context config {ctx.cfg.digest()} seed {ctx.seed} is not the "
+                             f"cache's config {self.config_digest} seed {self.seed}")
         base_fp = base.fingerprint
         current, done = base, 0
         while (match := self.find_longest_prefix(f, base_fp)) is not None:
@@ -245,7 +235,7 @@ class StrategyCache:
         }
 
     def verify(self) -> list[str]:
-        """Recompute every stored dataset's fingerprint; return mismatched keys."""
+        """Check every entry by the rule a hit uses; return the keys that fail."""
         bad: list[str] = []
         for entry in list(self._entries.values()):
             try:

@@ -34,8 +34,6 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
 
-DEFAULT_EMBEDDING_DIM = 64
-
 
 def build_context(
     run_cfg: RunConfig,
@@ -52,7 +50,7 @@ def build_context(
         client = HttpScreenerClient(endpoints.screener)
         remote["screener"] = Screener(run_cfg.operators, client=client, timer=timer)
     if endpoints.embedder:
-        remote["embedder"] = HttpEmbeddingClient(endpoints.embedder, DEFAULT_EMBEDDING_DIM)
+        remote["embedder"] = HttpEmbeddingClient(endpoints.embedder)
     if endpoints.trainer:
         remote["trainer"] = HttpTrainerClient(endpoints.trainer)
     agent = HttpAgentClient(endpoints.agent) if endpoints.agent else HillClimbAgent()

@@ -27,13 +27,16 @@ class ClientError(RuntimeError):
 
 def post_json(endpoint: str, payload: dict) -> dict:
     """POST a JSON payload and decode the JSON object it answers with."""
-    import urllib.request  # here, so runs with no endpoint never load http.client or ssl
+    import http.client  # here, so runs with no endpoint never load http.client or ssl
+    import urllib.request
 
     body = json.dumps(payload).encode("utf-8")
-    request = urllib.request.Request(
-        endpoint, data=body, headers={"Content-Type": "application/json"}
-    )
-    with urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT_S) as response:
+    try:
+        request = urllib.request.Request(endpoint, body, {"Content-Type": "application/json"})
+        response = urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT_S)
+    except (ValueError, http.client.InvalidURL) as exc:  # no scheme, a port not a number
+        raise ClientError(f"cannot post to {endpoint!r}: {exc}") from exc
+    with response:
         try:
             decoded = json.loads(response.read().decode("utf-8"))
         except ValueError as exc:  # also UnicodeDecodeError
@@ -194,18 +197,20 @@ class HashingEmbedder(EmbeddingClient):
 
 
 class HttpEmbeddingClient(EmbeddingClient):
-    def __init__(self, endpoint: str, dimension: int) -> None:
+    """Its dimension is the length of the first vector the endpoint returns."""
+
+    def __init__(self, endpoint: str) -> None:
         self.endpoint = endpoint
-        self.dimension = dimension
 
     def embed(self, text: str) -> np.ndarray:
         response = post_json(self.endpoint, {"text": text})
         vector = np.asarray(response["vector"], dtype=np.float64)
-        if vector.shape != (self.dimension,):
-            raise ClientError(
-                f"embedding endpoint returned shape {vector.shape}, "
-                f"expected ({self.dimension},)"
-            )
+        if vector.ndim != 1 or vector.size == 0:
+            raise ClientError(f"embedding endpoint returned shape {vector.shape}, not a vector")
+        self.dimension = self.dimension or vector.size
+        if vector.size != self.dimension:
+            raise ClientError(f"embedding endpoint returned {vector.size} values, "
+                              f"not the {self.dimension} of its first vector")
         return vector
 
 

@@ -160,6 +160,11 @@ def load_dataset(path: str | Path) -> Dataset:
         data = path.read_bytes()
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
+    return parse_dataset(data, path)
+
+
+def parse_dataset(data: bytes, path: str | Path) -> Dataset:
+    """Parse the bytes of a record file; ``path`` names the file in errors."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -1,7 +1,9 @@
 """Deterministic clients that tests script: fixed scores, replies from a
-function, and an agent replaying a list of responses."""
+function, and an agent replaying a list of responses; and stand-ins for what
+``urllib.request.urlopen`` does."""
 from __future__ import annotations
 
+import http.client
 from typing import Callable, Sequence
 
 from pipecraft.clients import AgentClient, ClientError, ModelClient
@@ -65,3 +67,10 @@ class CannedResponse:
 
     def read(self) -> bytes:
         return self.body
+
+
+def open_without_connecting(request, timeout):
+    """Stands in for ``urllib.request.urlopen`` up to where it would connect:
+    it parses the request's host and port into a connection object."""
+    http.client.HTTPConnection(request.host, timeout=timeout)
+    raise AssertionError(f"{request.full_url} would be connected to")

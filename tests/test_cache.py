@@ -60,18 +60,6 @@ class TestPutGet:
         stored = load_dataset(cache.root / entry.storage_path)
         assert lines(stored) == lines(corpus)
 
-    def test_idempotent_reput(self, cache):
-        corpus = clean_corpus(4, seed=1)
-        first = cache.put(Strategy((C,)), "base-fp", corpus)
-        second = cache.put(Strategy((C,)), "base-fp", corpus)
-        assert first == second
-        assert cache.stats()["entries"] == 1
-
-    def test_conflicting_reput_is_integrity_error(self, cache):
-        cache.put(Strategy((C,)), "base-fp", clean_corpus(4, seed=1))
-        with pytest.raises(CacheIntegrityError):
-            cache.put(Strategy((C,)), "base-fp", clean_corpus(5, seed=2))
-
     def test_same_strategy_different_base_coexists(self, cache):
         cache.put(Strategy((C,)), "base-1", clean_corpus(4, seed=1))
         cache.put(Strategy((C,)), "base-2", clean_corpus(5, seed=2))
@@ -161,10 +149,7 @@ class TestFindLongestPrefix:
                 strategy, base
             )[1] == EMPTY_STRATEGY:
                 continue  # already fully cached
-            try:
-                cache.put(strategy, base, clean_corpus(3 + i % 5, seed=i))
-            except CacheIntegrityError:
-                pass
+            cache.put(strategy, base, clean_corpus(3 + i % 5, seed=i))
         for _ in range(200):
             query = rng.choice(space)
             base = rng.choice(bases + ["fpC"])
@@ -220,6 +205,19 @@ class TestApplyWithReuse:
             prefix = Strategy(f.teams[:k])
             found = cache.find_longest_prefix(prefix, corpus.fingerprint)
             assert found is not None and found[1] == EMPTY_STRATEGY
+
+    @pytest.mark.parametrize(
+        "ctx",
+        [lambda: ExecutionContext.with_defaults(OperatorConfig(), seed=1),
+         lambda: ExecutionContext.with_defaults(OperatorConfig(selection_keep_fraction=0.4))],
+        ids=["seed", "config"],
+    )
+    def test_context_the_cache_is_not_keyed_for_is_refused(self, cache, ctx):
+        """Keys bind the cache's config digest and seed, so a context running
+        under others would store results under keys that do not describe them."""
+        with pytest.raises(CacheError, match="is not the cache's config"):
+            cache.apply_with_reuse(Strategy((C,)), messy_test_corpus(0), ctx())
+        assert cache.stats()["entries"] == 0
 
     def test_reuse_soundness_randomized(self, tmp_path):
         """Reused results are byte-identical to from-scratch application over
@@ -445,15 +443,17 @@ class TestTornEntry:
 
 
 def count_loads(monkeypatch) -> list[Path]:
-    """Record every ``corpus.load_dataset`` call made through the package."""
+    """Record the file of every ``corpus.parse_dataset`` call made through the
+    package: ``load_dataset`` and a cache hit that is not held both parse."""
     calls: list[Path] = []
+    parse = pipecraft.corpus.parse_dataset
 
-    def counting(path):
+    def counting(data, path):
         calls.append(Path(path))
-        return load_dataset(path)
+        return parse(data, path)
 
-    for module in (pipecraft.corpus, pipecraft.cache, pipecraft.cli):
-        monkeypatch.setattr(module, "load_dataset", counting)
+    for module in (pipecraft.corpus, pipecraft.cache):
+        monkeypatch.setattr(module, "parse_dataset", counting)
     return calls
 
 
@@ -547,6 +547,32 @@ class TestIntegrity:
         assert lines(out) == lines(direct)
         assert cache.verify() == []
 
+    @pytest.mark.parametrize("held", [True, False], ids=["held", "fresh-instance"])
+    def test_rewritten_data_file_is_evicted_and_recomputed(self, tmp_path, caplog, held):
+        """The same records written as other JSON parse to the same samples,
+        but are not the bytes the fingerprint covers: the hit is refused
+        whether or not the instance holds the dataset."""
+        root, digest = tmp_path / "rewritten", OperatorConfig().digest()
+        corpus = messy_test_corpus(7)
+        writer = StrategyCache(root, digest, seed=0)
+        stored = writer.apply_with_reuse(Strategy((C,)), corpus, make_ctx())
+        cache = writer if held else StrategyCache(root, digest, seed=0)
+        (entry,) = entries_of(cache)
+        path = root / entry.storage_path
+        path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines(stored)),
+                        encoding="utf-8")
+        assert load_dataset(path).samples == stored.samples
+        with pytest.raises(CacheIntegrityError, match="fingerprint mismatch"):
+            cache.load_entry(entry)
+        assert cache.verify() == [entry.key]
+        ctx = make_ctx()
+        with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+            out = cache.apply_with_reuse(Strategy((C,)), corpus, ctx)
+        assert f"evicting corrupt cache entry {entry.key}" in caplog.text
+        assert ctx.team_invocations == {C: 1}
+        assert lines(out) == lines(stored)
+        assert cache.verify() == []
+
     def test_prune_by_count(self, cache):
         corpus = messy_test_corpus(8)
         cache.apply_with_reuse(Strategy((C, O, S)), corpus, make_ctx())
@@ -566,3 +592,34 @@ def test_cache_lock_excludes_second_holder(tmp_path):
     # released: can be taken again
     with CacheLock(root):
         pass
+
+
+def test_runs_never_put_an_indexed_key(tmp_path, monkeypatch):
+    """``put`` has no branch for a key the instance already indexes, because
+    ``apply_with_reuse`` puts only prefixes longer than the longest indexed
+    one. Checked over a cold run and a warm run on one shared root, with one
+    entry damaged in between so the warm run also evicts and puts again."""
+    put = StrategyCache.put
+    puts: list[tuple[str, str]] = []
+    indexed: list[tuple[str, str]] = []
+
+    def checked(self, strategy, base_fingerprint, result, producer_round=0):
+        at = (strategy_key(strategy, self.config_digest, self.seed), base_fingerprint)
+        (indexed if at in self._entries else puts).append(at)
+        return put(self, strategy, base_fingerprint, result, producer_round)
+
+    monkeypatch.setattr(StrategyCache, "put", checked)
+    corpus_path, root = tmp_path / "corpus.jsonl", tmp_path / "shared"
+    save_dataset(messy_corpus(seed=10), corpus_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"dataset": str(corpus_path), "cache_root": str(root)}),
+                           encoding="utf-8")
+    run = ["run", "--config", str(config_path), "--out"]
+    assert main([*run, str(tmp_path / "cold")]) == 0
+    cold = len(puts)
+    assert cold > 0
+    victim = _newest_meta(root).parent / DATA_FILE
+    victim.write_bytes(b"{}\n" + victim.read_bytes())
+    assert main([*run, str(tmp_path / "warm")]) == 0
+    assert len(puts) > cold
+    assert indexed == []

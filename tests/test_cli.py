@@ -21,9 +21,11 @@ from pipecraft.config import (
 )
 from pipecraft.corpus import load_dataset, save_dataset
 from pipecraft.operators import ExecutionContext, apply_strategy
+from pipecraft.sampling import stratified_sample
+from pipecraft.screener import Screener
 from pipecraft.strategy import parse_strategy
 from pipecraft.synthetic import messy_corpus
-from tests.scripted_clients import CannedResponse
+from tests.scripted_clients import CannedResponse, open_without_connecting
 
 
 @pytest.fixture
@@ -121,6 +123,23 @@ class TestSample:
         full = load_dataset(corpus_path)
         assert 0 < len(sampled) < len(full)
         assert {s.id for s in sampled} <= {s.id for s in full}
+
+    def test_remote_embedder_of_768_dimensions(self, tmp_path, corpus_path, monkeypatch):
+        """The remote embedder takes its dimension from what the endpoint
+        returns. ``urlopen`` is replaced, so no request leaves the process."""
+        reference = clients.HashingEmbedder(768)
+
+        def embed(request, timeout):
+            vector = reference.embed(json.loads(request.data)["text"])
+            return CannedResponse(json.dumps({"vector": vector.tolist()}).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", embed)
+        monkeypatch.setenv(ENV_EMBEDDER_ENDPOINT, "http://embedder.test/embed")
+        monkeypatch.delenv(ENV_SCREENER_ENDPOINT, raising=False)
+        out = tmp_path / "sampled.jsonl"
+        assert main(["sample", "--input", str(corpus_path), "--output", str(out)]) == 0
+        expected = stratified_sample(load_dataset(corpus_path), 0.2, Screener(), reference)
+        assert load_dataset(out).fingerprint == expected.fingerprint
 
     def test_bad_rate(self, tmp_path, corpus_path):
         assert main(["sample", "--input", str(corpus_path),
@@ -465,6 +484,17 @@ class TestBadResponseBody:
                             endpoints={"screener": "http://screener.test/classify"}) == 0
         assert "remote screener failed" in caplog.text
 
+    @pytest.mark.parametrize("endpoint", ["notaurl", "http://agent.test:port/complete"],
+                             ids=["no-scheme", "bad-port"])
+    def test_malformed_agent_url_exits_1(self, tmp_path, corpus_path, capsys, monkeypatch,
+                                         endpoint):
+        """The URL is refused before any connection is made."""
+        monkeypatch.setattr(urllib.request, "urlopen", open_without_connecting)
+        monkeypatch.setenv(ENV_AGENT_ENDPOINT, endpoint)
+        config = write_config(tmp_path, corpus_path)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        self.assert_one_line(capsys, "run failed: agent client failed: ")
+
 
 class TestCacheCommands:
     def _run_once(self, tmp_path, corpus_path):
@@ -489,6 +519,28 @@ class TestCacheCommands:
         assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
         out = capsys.readouterr().out
         assert out.count("mismatch:") == 1
+
+    def test_rewritten_data_file_is_a_mismatch(self, tmp_path, corpus_path, capsys, caplog):
+        """Each ``data.jsonl`` rewritten as the same records in other JSON
+        still parses, but is not the bytes its fingerprint covers: ``verify``
+        flags it, and a warm run evicts and recomputes it into the same final
+        dataset."""
+        cache_dir = self._run_once(tmp_path, corpus_path)
+        final = tmp_path / "run" / "final_dataset.jsonl"
+        first = final.read_bytes()
+        data_files = sorted(cache_dir.glob("entries/*/data.jsonl"))
+        for path in data_files:
+            raw = path.read_bytes()
+            records = [json.loads(line) for line in raw.decode("utf-8").split("\n") if line]
+            path.write_text("".join(json.dumps(record) + "\n" for record in records),
+                            encoding="utf-8")
+            assert path.read_bytes() != raw
+        assert main(["cache", "verify", "--cache-dir", str(cache_dir)]) == 1
+        assert capsys.readouterr().out.count("mismatch:") == len(data_files)
+        with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+            self._run_once(tmp_path, corpus_path)
+        assert "evicting corrupt cache entry" in caplog.text
+        assert final.read_bytes() == first
 
     def test_prune_to_zero(self, tmp_path, corpus_path, capsys):
         cache_dir = self._run_once(tmp_path, corpus_path)

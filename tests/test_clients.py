@@ -27,7 +27,12 @@ from pipecraft.clients import (
 from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import clean_text, clear_run_memos, is_allowed_char
 from tests.conftest import copies_corpus, random_unicode, window_hash_int
-from tests.scripted_clients import CannedResponse, ConstantScorer, ScriptedModelClient
+from tests.scripted_clients import (
+    CannedResponse,
+    ConstantScorer,
+    ScriptedModelClient,
+    open_without_connecting,
+)
 
 
 class FlakyClient(ScriptedModelClient):
@@ -236,16 +241,31 @@ class TestWireContracts:
 
     def test_embedding_client(self, monkeypatch):
         seen = self._capture(monkeypatch, {"vector": [1.0, 2.0, 3.0]})
-        client = HttpEmbeddingClient("http://svc/embed", dimension=3)
+        client = HttpEmbeddingClient("http://svc/embed")
         vec = client.embed("hello")
         assert seen["payload"] == {"text": "hello"}
         assert vec.tolist() == [1.0, 2.0, 3.0]
+        assert client.dimension == 3
 
     def test_embedding_dimension_mismatch(self, monkeypatch):
+        """The first vector sets the dimension; a later one of another length
+        is refused."""
+        self._capture(monkeypatch, {"vector": [1.0, 2.0, 3.0]})
+        client = HttpEmbeddingClient("http://svc/embed")
+        client.embed("first")
         self._capture(monkeypatch, {"vector": [1.0]})
-        client = HttpEmbeddingClient("http://svc/embed", dimension=3)
-        with pytest.raises(ClientError):
+        with pytest.raises(ClientError, match="not the 3 of its first vector"):
+            client.embed("second")
+        assert client.dimension == 3
+
+    @pytest.mark.parametrize("vector", [[], [[1.0, 2.0], [3.0, 4.0]], 1.0],
+                             ids=["empty", "2-D", "scalar"])
+    def test_embedding_that_is_not_a_vector(self, monkeypatch, vector):
+        self._capture(monkeypatch, {"vector": vector})
+        client = HttpEmbeddingClient("http://svc/embed")
+        with pytest.raises(ClientError, match="not a vector"):
             client.embed("hello")
+        assert client.dimension == 0
 
     def test_screener_client(self, monkeypatch):
         seen = self._capture(monkeypatch, {"label": 1})
@@ -319,6 +339,18 @@ class TestPostJson:
         self._answer(monkeypatch, body)
         with pytest.raises(ClientError, match="not JSON"):
             clients.post_json("http://svc/screen", {})
+
+    @pytest.mark.parametrize("endpoint, message", [
+        ("notaurl", "unknown url type: 'notaurl'"),
+        ("http://svc:port/screen", "nonnumeric port: 'port'"),
+    ], ids=["no-scheme", "bad-port"])
+    def test_malformed_url_is_client_error(self, monkeypatch, endpoint, message):
+        """Building the request refuses a URL without a scheme; opening it
+        refuses a port that is not a number while the connection object is
+        made, before it connects (``urlopen`` stops there)."""
+        monkeypatch.setattr(urllib.request, "urlopen", open_without_connecting)
+        with pytest.raises(ClientError, match=message):
+            clients.post_json(endpoint, {})
 
     def test_screener_client_sees_client_error(self, monkeypatch):
         self._answer(monkeypatch, b"[]")

@@ -188,7 +188,7 @@ class TestEmbedAll:
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         corpus = copies_corpus(90, seed=6)
-        client = HttpEmbeddingClient("http://embedder.test/embed", dimension=16)
+        client = HttpEmbeddingClient("http://embedder.test/embed")
         subset = stratified_sample(corpus, 0.2, Screener(), client)
         assert requested == list(dict.fromkeys(sample.combined_text for sample in corpus))
         expected = stratified_sample(corpus, 0.2, Screener(), HashingEmbedder(dimension=16))
