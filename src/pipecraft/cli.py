@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import sys
 import time
@@ -33,6 +34,8 @@ from .timing import PhaseTimer
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_CONFIG = 2
+
+logger = logging.getLogger(__name__)
 
 
 def build_context(
@@ -58,6 +61,27 @@ def build_context(
         run_cfg.operators, seed=run_cfg.seed, timer=timer,
         agent=agent, cache=cache, run_log=run_log, **remote,
     )
+
+
+def _model_requests(ctx: ExecutionContext) -> dict:
+    """The run-log record of what the context's model clients sent, answered
+    from their memos and lost, and what its screener classified and on how
+    many samples it fell back to its heuristic."""
+    record: dict = {"event": "model-requests"}
+    for role in ("optimizer", "generator", "scorer"):
+        client = getattr(ctx, role)
+        record[role] = {"sent": client.calls, "reused": client.reused, "failed": client.failed}
+    record["screener"] = {"classified": ctx.screener.classify_calls,
+                          "remote_fallbacks": ctx.screener.remote_fallbacks}
+    return record
+
+
+def _warn_screener_fallbacks(screener: Screener) -> None:
+    """One warning with the number of samples the heuristic screened because
+    the remote screener failed; the screener logged only the first failure."""
+    if screener.remote_fallbacks:
+        logger.warning("remote screener failed on %d of %d samples classified; the heuristic "
+                       "screened them", screener.remote_fallbacks, screener.classify_calls)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -94,6 +118,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             result = run_search(base, run_cfg, ctx)
             with timer.phase("processing"):
                 final = cache.apply_with_reuse(result.best_strategy, base, ctx)
+            run_log.append(_model_requests(ctx))
+            _warn_screener_fallbacks(ctx.screener)
             save_dataset(final, run_dir / "final_dataset.jsonl")
             report = build_report(
                 result,
@@ -144,7 +170,9 @@ def cmd_apply(args: argparse.Namespace) -> int:
                 ctx = build_context(run_cfg, cache=cache)
                 processed = cache.apply_with_reuse(strategy, dataset, ctx)
         else:
-            processed = apply_strategy(strategy, dataset, build_context(run_cfg))
+            ctx = build_context(run_cfg)
+            processed = apply_strategy(strategy, dataset, ctx)
+        _warn_screener_fallbacks(ctx.screener)
         save_dataset(processed, args.output)
     except CacheError as exc:
         print(f"cache error: {exc}", file=sys.stderr)
@@ -168,6 +196,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     ctx = build_context(run_cfg)
     try:
         sampled = stratified_sample(dataset, run_cfg.sampling_rate, ctx.screener, ctx.embedder)
+        _warn_screener_fallbacks(ctx.screener)
         save_dataset(sampled, args.output)
     except (EmbeddingError, OSError) as exc:
         print(f"sample failed: {exc}", file=sys.stderr)

@@ -6,6 +6,10 @@ the strategy agent) sits behind a small client interface. Each interface has
 a deterministic default implementation so the whole engine runs without any
 endpoint configured, plus an HTTP implementation speaking the documented
 JSON wire contract.
+
+A ``ModelClient`` sends each distinct request once per instance: ``calls``
+counts requests sent, ``reused`` counts requests answered from its memo of
+earlier replies, and ``failed`` counts requests that failed every attempt.
 """
 from __future__ import annotations
 
@@ -46,11 +50,60 @@ def post_json(endpoint: str, payload: dict) -> dict:
     return decoded
 
 
+def _json_name(name) -> str:
+    """An object key as JSON renders it."""
+    return name if isinstance(name, str) else json.dumps(name)
+
+
+def request_key(value):
+    """A hashable key of a request, equal for two requests exactly when they
+    are equal as JSON values: for values built of ``dict`` with string keys,
+    ``list``, ``str``, ``int``, ``float``, ``bool`` and ``None``, exactly
+    when their ``json.dumps(value, sort_keys=True)`` are, without rendering
+    that text.
+
+    Strings and integers stand for themselves, so the key shares the
+    request's strings and their cached hashes. Floats, booleans and arrays
+    carry a type tag, because Python holds ``1 == 1.0 == True`` and
+    ``0.0 == -0.0`` where JSON does not. An object is its type tag followed
+    by its names, in sorted order, each with its value. Any other type is
+    tagged with its JSON text, so its key can miss an equal value but never
+    match an unequal one."""
+    kind = type(value)
+    if kind is str or kind is int or value is None:
+        return value
+    if kind is dict:
+        key = [dict]
+        for name in sorted(value, key=_json_name):
+            item = value[name]
+            key += _json_name(name), item if type(item) is str else request_key(item)
+        return tuple(key)
+    if kind is list or kind is tuple:
+        return (list, *map(request_key, value))
+    if kind is float:
+        return (float, repr(value))
+    if kind is bool:
+        return (bool, value)
+    return (object, json.dumps(value, sort_keys=True))
+
+
 class ModelClient(ABC):
     """Text-model client for operator roles: optimizer, generator, scorer.
 
     Request: {"role", "mode", sample fields..., "seed"}.
-    Response: {"text": str | "score": float, "status": "ok"}.
+    Response: {"text": str, "status": "ok"} from the optimizer and the
+    generator, {"score": number in [0, 1], "status": "ok"} from the scorer.
+
+    ``complete`` sends each distinct request (by :func:`request_key`) once
+    and answers a repeat from a memo that lives as long as the client. This
+    assumes a deterministic model, as prefix reuse does; every request
+    carries the run seed. ``calls`` counts requests sent, each with up to
+    ``max_retries`` retries; ``reused`` counts requests answered from the
+    memo; ``failed`` counts requests whose every attempt raised or gave a
+    reply without ``status`` ``"ok"`` or without its role's field. Only a
+    reply that passed is stored, so a failed request is sent again when it
+    comes again. A repeat gets the stored reply object itself, which callers
+    only read.
     """
 
     role: str = ""
@@ -58,8 +111,16 @@ class ModelClient(ABC):
 
     def __init__(self) -> None:
         self.calls = 0
+        self.reused = 0
+        self.failed = 0
+        self._replies: dict = {}
 
     def complete(self, request: dict) -> dict:
+        key = request_key(request)
+        reply = self._replies.get(key)
+        if reply is not None:
+            self.reused += 1
+            return reply
         self.calls += 1
         last_error: Exception | None = None
         for _ in range(self.max_retries + 1):
@@ -68,10 +129,29 @@ class ModelClient(ABC):
             except Exception as exc:  # noqa: BLE001 - retries wrap any failure
                 last_error = exc
                 continue
-            if response.get("status") == "ok":
+            last_error = self._reply_error(response)
+            if last_error is None:
+                self._replies[key] = response
                 return response
-            last_error = ClientError(f"client returned status {response.get('status')!r}")
+        self.failed += 1
         raise ClientError(f"{self.role} client failed: {last_error}")
+
+    def _reply_error(self, response) -> ClientError | None:
+        """Why ``response`` cannot be used, or None: it is not an object,
+        its status is not ``"ok"``, or it lacks the field its role's
+        operator reads."""
+        if not isinstance(response, dict):
+            return ClientError(f"client returned {type(response).__name__}, not an object")
+        if response.get("status") != "ok":
+            return ClientError(f"client returned status {response.get('status')!r}")
+        if self.role == "scorer":
+            score = response.get("score")
+            number = isinstance(score, (int, float)) and not isinstance(score, bool)
+            if not (number and 0.0 <= score <= 1.0):  # NaN fails the comparison
+                return ClientError(f"client returned score {score!r}, not a number in [0, 1]")
+        elif not isinstance(response.get("text"), str):
+            return ClientError(f"client returned text {response.get('text')!r}, not a string")
+        return None
 
     @abstractmethod
     def _do_complete(self, request: dict) -> dict:

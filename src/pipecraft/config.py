@@ -9,6 +9,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
+from urllib.parse import urlsplit
 
 ENV_AGENT_ENDPOINT = "PIPECRAFT_AGENT_ENDPOINT"
 ENV_EMBEDDER_ENDPOINT = "PIPECRAFT_EMBEDDER_ENDPOINT"
@@ -180,21 +181,44 @@ def from_json(kind, value, where: str):
     raise ConfigError(f"{where} must be {kind.__name__}, got {json.dumps(value)}")
 
 
+_ENDPOINT_VARIABLES = (("agent", ENV_AGENT_ENDPOINT), ("embedder", ENV_EMBEDDER_ENDPOINT),
+                       ("screener", ENV_SCREENER_ENDPOINT), ("trainer", ENV_TRAINER_ENDPOINT))
+
+
+def _check_endpoint(url: str, where: str) -> None:
+    """Raise ``ConfigError`` naming ``where`` unless ``url`` is an ``http``
+    or ``https`` URL with a host and, if it gives a port, a numeric one."""
+    try:
+        parts = urlsplit(url)  # ValueError: a malformed IPv6 host
+        parts.port  # noqa: B018 - ValueError: a port that is not a number in 0-65535
+    except ValueError as exc:
+        raise ConfigError(f"{where} is not a usable endpoint URL: {url!r} ({exc})") from exc
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        raise ConfigError(f"{where} must be an http or https URL with a host, got {url!r}")
+
+
 def run_config_from(raw: dict) -> RunConfig:
     """Build a ``RunConfig`` from decoded JSON with the endpoint and
     cache-root environment variables laid over it; they take precedence.
-    Every subcommand builds its run config here."""
+    Every endpoint must pass :func:`_check_endpoint`. Every subcommand builds
+    its run config here."""
     raw = dict(raw)
     endpoints = raw.get("endpoints", {})
+    where = {name: f"config.endpoints.{name}" for name, _ in _ENDPOINT_VARIABLES}
     if isinstance(endpoints, dict):  # from_json reports any other value
         endpoints = raw["endpoints"] = dict(endpoints)
-        for name, var in (("agent", ENV_AGENT_ENDPOINT), ("embedder", ENV_EMBEDDER_ENDPOINT),
-                          ("screener", ENV_SCREENER_ENDPOINT), ("trainer", ENV_TRAINER_ENDPOINT)):
+        for name, var in _ENDPOINT_VARIABLES:
             if var in os.environ:
                 endpoints[name] = os.environ[var]
+                where[name] = var
     if ENV_CACHE_ROOT in os.environ:
         raw["cache_root"] = os.environ[ENV_CACHE_ROOT]
-    return from_json(RunConfig, raw, "config")
+    run_cfg = from_json(RunConfig, raw, "config")
+    for name, _ in _ENDPOINT_VARIABLES:
+        url = getattr(run_cfg.endpoints, name)
+        if url:  # an empty value leaves the endpoint unset
+            _check_endpoint(url, where[name])
+    return run_cfg
 
 
 def load_run_config(path: str | Path) -> RunConfig:

@@ -63,6 +63,10 @@ class Screener:
     classifier reads, because the same text is screened by both the sampler
     and every clean/noisy routing pass, often under several ids; with a remote
     model behind the interface, re-screening would be the dominant cost.
+
+    ``classify_calls`` counts the samples classified (cache misses), and
+    ``remote_fallbacks`` those of them the heuristic decided because the
+    remote classifier failed; only the first such failure is logged.
     """
 
     def __init__(
@@ -76,6 +80,7 @@ class Screener:
         self.timer = timer
         self._cache: dict[tuple[str, str], ScreenerVerdict] = {}
         self.classify_calls = 0
+        self.remote_fallbacks = 0
 
     def classify(self, sample: Sample) -> ScreenerVerdict:
         key = (sample.question, sample.answer)
@@ -94,7 +99,9 @@ class Screener:
         try:
             label = self.client.classify(sample.question, sample.answer)
         except Exception as exc:  # noqa: BLE001 - remote failure falls back
-            logger.warning("remote screener failed (%s); using heuristic fallback", exc)
+            if not self.remote_fallbacks:
+                logger.warning("remote screener failed (%s); using heuristic fallback", exc)
+            self.remote_fallbacks += 1
             fallback = heuristic_verdict(sample, self.cfg)
             return ScreenerVerdict(
                 fallback.label, fallback.reasons + (REASON_REMOTE_FALLBACK,)

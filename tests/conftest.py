@@ -27,16 +27,22 @@ def restore_char_classes():
     ALLOWED_CHARS.update(saved)
 
 
-@pytest.fixture(scope="session")
-def bench_corpora() -> dict[str, Dataset]:
-    """Both benchmark workloads at their benchmark sizes, built by
-    ``bench/corpora.py``. The bench directory is appended to ``sys.path``, not
-    prepended, so that ``tests`` keeps resolving to this directory."""
+def bench_corpora_module():
+    """``bench/corpora.py``, the benchmark's corpus generators. The bench
+    directory is appended to ``sys.path``, not prepended, so that ``tests``
+    keeps resolving to this directory."""
     bench_dir = str(Path(__file__).resolve().parent.parent / "bench")
     if bench_dir not in sys.path:
         sys.path.append(bench_dir)
     import corpora
 
+    return corpora
+
+
+@pytest.fixture(scope="session")
+def bench_corpora() -> dict[str, Dataset]:
+    """Both benchmark workloads at their benchmark sizes."""
+    corpora = bench_corpora_module()
     return {"replicated-2k": corpora.replicated(44, 2000),
             "distinct-3k": corpora.distinct(44, 3000)}
 

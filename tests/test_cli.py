@@ -6,7 +6,7 @@ import urllib.request
 
 import pytest
 
-from pipecraft import clients
+from pipecraft import cli, clients
 from pipecraft.cache import CacheLock
 from pipecraft.cli import main
 from pipecraft.config import (
@@ -18,6 +18,7 @@ from pipecraft.config import (
     MinhashConfig,
     OperatorConfig,
     load_run_config,
+    run_config_from,
 )
 from pipecraft.corpus import load_dataset, save_dataset
 from pipecraft.operators import ExecutionContext, apply_strategy
@@ -486,14 +487,140 @@ class TestBadResponseBody:
 
     @pytest.mark.parametrize("endpoint", ["notaurl", "http://agent.test:port/complete"],
                              ids=["no-scheme", "bad-port"])
-    def test_malformed_agent_url_exits_1(self, tmp_path, corpus_path, capsys, monkeypatch,
-                                         endpoint):
-        """The URL is refused before any connection is made."""
+    def test_malformed_agent_url_is_config_error(self, tmp_path, corpus_path, capsys,
+                                                 monkeypatch, endpoint):
+        """The URL is refused when the config is read, before any client is
+        built or any connection is made."""
         monkeypatch.setattr(urllib.request, "urlopen", open_without_connecting)
         monkeypatch.setenv(ENV_AGENT_ENDPOINT, endpoint)
         config = write_config(tmp_path, corpus_path)
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
-        self.assert_one_line(capsys, "run failed: agent client failed: ")
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {ENV_AGENT_ENDPOINT} ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+
+ENDPOINT_VARIABLES = {"agent": ENV_AGENT_ENDPOINT, "embedder": ENV_EMBEDDER_ENDPOINT,
+                      "screener": ENV_SCREENER_ENDPOINT, "trainer": ENV_TRAINER_ENDPOINT}
+
+
+class TestEndpointUrls:
+    """Each endpoint, from its variable or its config field, must be an
+    ``http`` or ``https`` URL with a host, and a numeric port if it gives
+    one. Any other value stops every subcommand that reads it with exit 2
+    and one ``config error:`` line naming where the value came from.
+    ``urlopen`` is replaced, so no request leaves the process."""
+
+    BAD = ["notaurl", "ftp://h/x", "http://", "http://h:port/"]
+
+    @pytest.fixture(autouse=True)
+    def no_connection(self, monkeypatch):
+        for var in (*ENDPOINT_VARIABLES.values(), ENV_CACHE_ROOT):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(urllib.request, "urlopen", open_without_connecting)
+
+    def commands(self, tmp_path, corpus_path, **overrides):
+        config = write_config(tmp_path, corpus_path, **overrides)
+        return {
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+            "apply": ["apply", "--strategy", "Cleaning", "--input", str(corpus_path),
+                      "--output", str(tmp_path / "out.jsonl")],
+            "sample": ["sample", "--input", str(corpus_path),
+                       "--output", str(tmp_path / "subset.jsonl")],
+        }
+
+    def assert_config_error(self, tmp_path, capsys, argv, where):
+        assert main(argv) == 2, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where} "), err
+        assert len(err.splitlines()) == 1
+        assert not any((tmp_path / name).exists()
+                       for name in ("run", "out.jsonl", "subset.jsonl"))
+
+    @pytest.mark.parametrize("url", BAD)
+    @pytest.mark.parametrize("role", sorted(ENDPOINT_VARIABLES))
+    def test_variable_is_checked_by_every_subcommand(self, tmp_path, corpus_path, capsys,
+                                                     monkeypatch, role, url):
+        monkeypatch.setenv(ENDPOINT_VARIABLES[role], url)
+        for argv in self.commands(tmp_path, corpus_path).values():
+            self.assert_config_error(tmp_path, capsys, argv, ENDPOINT_VARIABLES[role])
+
+    @pytest.mark.parametrize("url", BAD)
+    @pytest.mark.parametrize("role", sorted(ENDPOINT_VARIABLES))
+    def test_config_field_is_checked(self, tmp_path, corpus_path, capsys, role, url):
+        argv = self.commands(tmp_path, corpus_path, endpoints={role: url})["run"]
+        self.assert_config_error(tmp_path, capsys, argv, f"config.endpoints.{role}")
+
+    @pytest.mark.parametrize("url", ["http://h", "https://h:8443/v1/complete",
+                                     "http://[::1]:80/x", "http://10.0.0.2/"])
+    def test_usable_urls_pass(self, monkeypatch, url):
+        for var in ENDPOINT_VARIABLES.values():
+            monkeypatch.setenv(var, url)
+        endpoints = run_config_from({"endpoints": {"agent": "http://other"}}).endpoints
+        assert {name: getattr(endpoints, name) for name in ENDPOINT_VARIABLES} == dict.fromkeys(
+            ENDPOINT_VARIABLES, url)
+
+    def test_empty_value_leaves_the_endpoint_unset(self, monkeypatch):
+        monkeypatch.setenv(ENV_AGENT_ENDPOINT, "")
+        assert run_config_from({}).endpoints.agent == ""
+
+
+class TestModelRequestsEvent:
+    """After the final processing a run appends one ``model-requests`` event:
+    what each model client sent, answered from its memo and lost, and what
+    the screener classified and how often it fell back to its heuristic."""
+
+    @pytest.fixture(autouse=True)
+    def no_env_endpoints(self, monkeypatch):
+        for var in (*ENDPOINT_VARIABLES.values(), ENV_CACHE_ROOT):
+            monkeypatch.delenv(var, raising=False)
+
+    def run(self, tmp_path, corpus_path, monkeypatch, **overrides):
+        contexts = []
+        build_context = cli.build_context
+
+        def probe(*args, **kwargs):
+            contexts.append(build_context(*args, **kwargs))
+            return contexts[-1]
+
+        monkeypatch.setattr(cli, "build_context", probe)
+        config = write_config(tmp_path, corpus_path, **overrides)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        records = [json.loads(line) for line in
+                   (tmp_path / "run" / "run_log.jsonl").read_text(encoding="utf-8").splitlines()]
+        (event,) = [record for record in records if record["event"] == "model-requests"]
+        assert records[-1] is event
+        (context,) = contexts
+        return context, event
+
+    def test_default_run(self, tmp_path, corpus_path, monkeypatch, capsys):
+        context, event = self.run(tmp_path, corpus_path, monkeypatch)
+        for role in ("optimizer", "generator", "scorer"):
+            client = getattr(context, role)
+            assert event[role] == {"sent": client.calls, "reused": client.reused,
+                                   "failed": client.failed}
+        assert event["scorer"]["sent"] > 0 and event["scorer"]["reused"] > 0
+        assert event["screener"] == {"classified": context.screener.classify_calls,
+                                     "remote_fallbacks": 0}
+
+    def test_failing_screener_warns_once_with_the_total(self, tmp_path, corpus_path,
+                                                        monkeypatch, caplog, capsys):
+        def refuse(request, timeout):
+            raise OSError("connection refused")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        with caplog.at_level(logging.WARNING):
+            context, event = self.run(tmp_path, corpus_path, monkeypatch,
+                                      endpoints={"screener": "http://screener.test/classify"})
+        classified = context.screener.classify_calls
+        assert classified > 1
+        assert event["screener"] == {"classified": classified, "remote_fallbacks": classified}
+        fallbacks = [record.getMessage() for record in caplog.records
+                     if "remote screener failed" in record.getMessage()]
+        assert len(fallbacks) == 2
+        assert "connection refused" in fallbacks[0]
+        assert f"failed on {classified} of {classified} samples" in fallbacks[1]
 
 
 class TestCacheCommands:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import json
 import os
 import random
 import subprocess
@@ -10,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pipecraft import clients
+from pipecraft import cli, clients
 from pipecraft.clients import (
     ClientError,
     HashingEmbedder,
@@ -24,9 +26,12 @@ from pipecraft.clients import (
     TemplateGenerator,
     normalize_text,
 )
+from pipecraft.config import (ENV_AGENT_ENDPOINT, ENV_CACHE_ROOT, ENV_EMBEDDER_ENDPOINT,
+                              ENV_SCREENER_ENDPOINT, ENV_TRAINER_ENDPOINT)
+from pipecraft.corpus import save_dataset
 from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import clean_text, clear_run_memos, is_allowed_char
-from tests.conftest import copies_corpus, random_unicode, window_hash_int
+from tests.conftest import bench_corpora_module, copies_corpus, random_unicode, window_hash_int
 from tests.scripted_clients import (
     CannedResponse,
     ConstantScorer,
@@ -67,6 +72,182 @@ class TestRetry:
         client = ScriptedModelClient("scorer", lambda req: {"status": "overloaded"})
         with pytest.raises(ClientError):
             client.complete({"role": "scorer"})
+
+
+class TestReplyMemo:
+    """``complete`` sends each distinct request once per client and answers a
+    repeat from its memo; only a reply that passed its checks is stored."""
+
+    REQUEST = {"role": "generator", "mode": "answer", "question": "q", "answer": "",
+               "shots": [{"question": "sq", "answer": "sa"}], "seed": 3}
+
+    def recording(self, role="generator", reply=lambda req: {"text": "t", "status": "ok"}):
+        sent = []
+
+        def fn(request):
+            sent.append(request)
+            return reply(request)
+
+        return ScriptedModelClient(role, fn), sent
+
+    def test_identical_request_is_sent_once(self):
+        client, sent = self.recording()
+        first = client.complete(dict(self.REQUEST))
+        again = client.complete(dict(self.REQUEST))
+        assert again == first == {"text": "t", "status": "ok"}
+        assert sent == [self.REQUEST]
+        assert (client.calls, client.reused, client.failed) == (1, 1, 0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 4), ("seed", 3.0), ("seed", True), ("mode", "question"),
+        ("shots", []), ("shots", [{"question": "sq", "answer": "sb"}]),
+        ("shots", [{"question": "sq", "answer": "sa"}] * 2),
+    ], ids=["seed", "seed-float", "seed-bool", "mode", "no-shots", "other-shot",
+            "more-shots"])
+    def test_request_differing_in_one_field_is_sent(self, field, value):
+        client, sent = self.recording()
+        client.complete(self.REQUEST)
+        client.complete({**self.REQUEST, field: value})
+        assert len(sent) == 2
+        assert (client.calls, client.reused) == (2, 0)
+
+    @pytest.mark.parametrize("bad_reply", [
+        {"status": "overloaded", "text": "t"}, {"status": "ok"}, RuntimeError("down"),
+    ], ids=["status", "no-text", "raises"])
+    def test_failed_request_is_sent_again_and_can_succeed(self, bad_reply):
+        replies = [bad_reply] * (ScriptedModelClient.max_retries + 1)
+        replies.append({"text": "t", "status": "ok"})
+
+        def reply(request):
+            answer = replies.pop(0)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        client, sent = self.recording(reply=reply)
+        with pytest.raises(ClientError):
+            client.complete(self.REQUEST)
+        assert (client.calls, client.reused, client.failed) == (1, 0, 1)
+        assert client.complete(self.REQUEST) == {"text": "t", "status": "ok"}
+        assert client.complete(self.REQUEST) == {"text": "t", "status": "ok"}
+        assert len(sent) == ScriptedModelClient.max_retries + 2
+        assert (client.calls, client.reused, client.failed) == (2, 1, 1)
+
+    def test_retried_success_is_stored(self):
+        client = FlakyClient(failures=2)
+        request = {"role": "optimizer", "mode": "question", "text": "x"}
+        client.complete(request)
+        client.complete(request)
+        assert client.attempts == 3
+        assert (client.calls, client.reused, client.failed) == (1, 1, 0)
+
+    def test_clients_share_nothing(self):
+        (one, sent_one), (two, sent_two) = self.recording(), self.recording()
+        one.complete(self.REQUEST)
+        two.complete(self.REQUEST)
+        assert len(sent_one) == len(sent_two) == 1
+        assert one.reused == two.reused == 0
+
+
+def json_value(rng: random.Random, depth: int = 0):
+    """A random value of the JSON types, drawn from few atoms so that equal
+    and nearly equal values are common: ``1``, ``1.0`` and ``True``, ``0.0``
+    and ``-0.0``, strings that look like other atoms."""
+    atoms = [0, 1, -1, 1.0, 0.0, -0.0, 0.5, True, False, None, "", "1", "a", "true", "null",
+             '"a"', "\u00e9", r"\u00e9"]
+    roll = rng.random()
+    if depth >= 3 or roll < 0.5:
+        return rng.choice(atoms)
+    if roll < 0.75:
+        return [json_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    keys = rng.sample(["a", "b", "1", "true"], rng.randrange(4))
+    return {key: json_value(rng, depth + 1) for key in keys}
+
+
+class TestRequestKey:
+    """Two keys are equal exactly when the values' sorted JSON texts are."""
+
+    def test_agrees_with_sorted_json_on_random_values(self):
+        rng = random.Random(22)
+        values = [json_value(rng) for _ in range(600)]
+        values += [dict(reversed(list(v.items()))) for v in values if isinstance(v, dict)]
+        texts = [json.dumps(v, sort_keys=True) for v in values]
+        keys = [clients.request_key(v) for v in values]
+        equal_pairs = 0
+        for i, j in itertools.combinations(range(len(values)), 2):
+            assert (keys[i] == keys[j]) == (texts[i] == texts[j]), (values[i], values[j])
+            equal_pairs += texts[i] == texts[j]
+        assert equal_pairs > 1000  # the draw holds many equal values, not only unequal ones
+
+    @pytest.mark.parametrize("one, other", [
+        (1, 1.0), (1, True), (0, False), (0.0, -0.0), ("1", 1), (None, "null"), ([1], (1.0,)),
+        ({"a": 1}, {"a": True}), ({1: "x"}, {True: "x"}), ({"1": [1]}, {"1": [[1]]}),
+        ([[]], [{}]), (float("nan"), float("inf")),
+    ])
+    def test_python_equal_or_alike_json_unequal(self, one, other):
+        assert json.dumps(one, sort_keys=True) != json.dumps(other, sort_keys=True)
+        assert clients.request_key(one) != clients.request_key(other)
+
+    @pytest.mark.parametrize("one, other", [
+        ([1, 2], (1, 2)), ({1: "x"}, {"1": "x"}), ({"b": 1, "a": 2}, {"a": 2, "b": 1}),
+        (float("nan"), float("nan")),
+    ])
+    def test_json_equal(self, one, other):
+        assert json.dumps(one, sort_keys=True) == json.dumps(other, sort_keys=True)
+        assert clients.request_key(one) == clients.request_key(other)
+
+    def test_other_types_never_match_an_unequal_value(self):
+        class Text(str):
+            pass
+
+        assert clients.request_key(Text("a")) != clients.request_key('"a"')
+        assert clients.request_key(Text("a")) == clients.request_key(Text("a"))
+        assert clients.request_key({Text("a"): 1}) == clients.request_key({"a": 1})
+
+
+def test_no_request_reaches_a_model_twice_in_a_run(tmp_path, monkeypatch, capsys):
+    """A search re-scores and re-processes the same samples under many
+    strategies; each distinct request still reaches each model once, and
+    every ``complete`` is either sent or reused."""
+    for var in (ENV_AGENT_ENDPOINT, ENV_EMBEDDER_ENDPOINT, ENV_SCREENER_ENDPOINT,
+                ENV_TRAINER_ENDPOINT, ENV_CACHE_ROOT):
+        monkeypatch.delenv(var, raising=False)
+    roles = ("optimizer", "generator", "scorer")
+    sent = {role: [] for role in roles}
+    completed = {role: 0 for role in roles}
+    contexts = []
+    build_context = cli.build_context
+
+    def probe(*args, **kwargs):
+        context = build_context(*args, **kwargs)
+        for role in roles:
+            client = getattr(context, role)
+
+            def send(request, do=client._do_complete, role=role):
+                sent[role].append(json.dumps(request, sort_keys=True))
+                return do(request)
+
+            def complete(request, complete=client.complete, role=role):
+                completed[role] += 1
+                return complete(request)
+
+            client._do_complete, client.complete = send, complete
+        contexts.append(context)
+        return context
+
+    monkeypatch.setattr(cli, "build_context", probe)
+    save_dataset(bench_corpora_module().distinct(44, 600), tmp_path / "corpus.jsonl")
+    config = {"dataset": str(tmp_path / "corpus.jsonl"), "seed": 0, "sampling_rate": 0.2}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["run", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "run")]) == 0
+    (context,) = contexts
+    for role in roles:
+        client = getattr(context, role)
+        assert len(sent[role]) == len(set(sent[role])) == client.calls, role
+        assert client.calls + client.reused == completed[role], role
+        assert client.failed == 0
+    assert context.scorer.reused > 0  # Selection re-scores samples across strategies
 
 
 class TestDefaults:

@@ -720,6 +720,51 @@ class TestSelectHighQuality:
         assert [s.id for s in out] == ["s1", "s3"]
 
 
+class TestRepliesWithoutTheirField:
+    """An ``ok`` reply without the field its operator reads is a client
+    failure, so each operator fails open as it does for a client error."""
+
+    @pytest.mark.parametrize("reply, message", [
+        ({"status": "ok"}, "not a string"), ({"text": None, "status": "ok"}, "not a string"),
+        ({"text": ["t"], "status": "ok"}, "not a string"),
+        ({"score": 0.5, "status": "ok"}, "not a string"), (["t"], "not an object"),
+    ], ids=["no-field", "null", "list", "score-only", "not-an-object"])
+    def test_optimizer_and_generator_need_text(self, reply, message):
+        sample = Sample(id="x", question="q text", answer="")
+        shots = [Sample(id="s", question="sq", answer="sa")]
+        optimizer = ScriptedModelClient("optimizer", lambda req: reply)
+        generator = ScriptedModelClient("generator", lambda req: reply)
+        optimized = optimize_sample(sample, optimizer)
+        generated = generate_missing(sample, shots, generator)
+        assert message in optimized.meta["optimize_error"]
+        assert message in generated.meta["generate_error"]
+        assert (optimized.question, generated.answer) == ("q text", "")
+        assert (optimizer.calls, optimizer.failed) == (generator.calls, generator.failed) == (1, 1)
+
+    @pytest.mark.parametrize("score", [float("nan"), 1.5, -0.1, True, "0.5", None, [0.5]],
+                             ids=["nan", "above-one", "below-zero", "true", "string", "null",
+                                  "list"])
+    def test_scorer_needs_a_number_in_the_unit_interval(self, score):
+        def fn(req):
+            if req["question"] == "q1":
+                return {"score": score, "status": "ok"}
+            return {"score": 0.5, "status": "ok"}
+
+        scorer = ScriptedModelClient("scorer", fn)
+        corpus = Dataset.from_samples(
+            Sample(id=f"s{i}", question=f"q{i}", answer="a") for i in range(4))
+        out = select_high_quality(corpus, scorer, 0.75)
+        assert [s.id for s in out] == ["s0", "s2", "s3"]  # s1 scored -inf
+        assert (scorer.calls, scorer.failed) == (4, 1)
+
+    @pytest.mark.parametrize("score", [0, 1, 0.0, 1.0, np.float64(0.25)],
+                             ids=["int-0", "int-1", "zero", "one", "numpy"])
+    def test_scorer_accepts_any_real_number_in_the_unit_interval(self, score):
+        scorer = ScriptedModelClient("scorer", lambda req: {"score": score, "status": "ok"})
+        assert scorer.complete({"question": "q"})["score"] == score
+        assert scorer.failed == 0
+
+
 def make_ctx(cfg=None, **overrides) -> ExecutionContext:
     return ExecutionContext.with_defaults(cfg or OperatorConfig(), **overrides)
 
