@@ -7,7 +7,8 @@ a deterministic default implementation so the whole engine runs without any
 endpoint configured, plus an HTTP implementation speaking the documented
 JSON wire contract.
 
-A ``ModelClient`` sends each distinct request once per instance: ``calls``
+A ``ModelClient`` sends each distinct request once per instance, keyed by
+the request's canonical JSON text, the form a dataset line takes: ``calls``
 counts requests sent, ``reused`` counts requests answered from its memo of
 earlier replies, and ``failed`` counts requests that failed every attempt.
 """
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import OperatorConfig
+from .corpus import canonical_json
 from .textstats import ALLOWED_CHARS, clean_text, ngram_hashes, text_profile, violations
 
 DEFAULT_TIMEOUT_S = 60.0
@@ -50,60 +52,31 @@ def post_json(endpoint: str, payload: dict) -> dict:
     return decoded
 
 
-def _json_name(name) -> str:
-    """An object key as JSON renders it."""
-    return name if isinstance(name, str) else json.dumps(name)
-
-
-def request_key(value):
-    """A hashable key of a request, equal for two requests exactly when they
-    are equal as JSON values: for values built of ``dict`` with string keys,
-    ``list``, ``str``, ``int``, ``float``, ``bool`` and ``None``, exactly
-    when their ``json.dumps(value, sort_keys=True)`` are, without rendering
-    that text.
-
-    Strings and integers stand for themselves, so the key shares the
-    request's strings and their cached hashes. Floats, booleans and arrays
-    carry a type tag, because Python holds ``1 == 1.0 == True`` and
-    ``0.0 == -0.0`` where JSON does not. An object is its type tag followed
-    by its names, in sorted order, each with its value. Any other type is
-    tagged with its JSON text, so its key can miss an equal value but never
-    match an unequal one."""
-    kind = type(value)
-    if kind is str or kind is int or value is None:
-        return value
-    if kind is dict:
-        key = [dict]
-        for name in sorted(value, key=_json_name):
-            item = value[name]
-            key += _json_name(name), item if type(item) is str else request_key(item)
-        return tuple(key)
-    if kind is list or kind is tuple:
-        return (list, *map(request_key, value))
-    if kind is float:
-        return (float, repr(value))
-    if kind is bool:
-        return (bool, value)
-    return (object, json.dumps(value, sort_keys=True))
+def is_unit_score(value) -> bool:
+    """A real number in [0, 1]: not a bool, a string, None or NaN."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and 0.0 <= value <= 1.0  # NaN fails the comparison
 
 
 class ModelClient(ABC):
     """Text-model client for operator roles: optimizer, generator, scorer.
 
-    Request: {"role", "mode", sample fields..., "seed"}.
-    Response: {"text": str, "status": "ok"} from the optimizer and the
-    generator, {"score": number in [0, 1], "status": "ok"} from the scorer.
+    Request: a JSON object of named fields, {"role", "mode", sample
+    fields..., "seed"}. Response: {"text": str, "status": "ok"} from the
+    optimizer and the generator, {"score": number in [0, 1], "status": "ok"}
+    from the scorer.
 
-    ``complete`` sends each distinct request (by :func:`request_key`) once
-    and answers a repeat from a memo that lives as long as the client. This
-    assumes a deterministic model, as prefix reuse does; every request
-    carries the run seed. ``calls`` counts requests sent, each with up to
-    ``max_retries`` retries; ``reused`` counts requests answered from the
-    memo; ``failed`` counts requests whose every attempt raised or gave a
-    reply without ``status`` ``"ok"`` or without its role's field. Only a
-    reply that passed is stored, so a failed request is sent again when it
-    comes again. A repeat gets the stored reply object itself, which callers
-    only read.
+    ``complete`` sends each distinct request once and answers a repeat from a
+    memo that lives as long as the client, keyed by the request's canonical
+    JSON text (so no field may be a dict whose keys mix strings and numbers;
+    no operator builds one). This assumes a deterministic model, as prefix
+    reuse does; every request carries the run seed. ``calls`` counts
+    requests sent, each with up to ``max_retries`` retries; ``reused``
+    counts requests answered from the memo; ``failed`` counts requests whose
+    every attempt raised or gave a reply without ``status`` ``"ok"`` or
+    without its role's field. Only a reply that passed is stored, so a
+    failed request is sent again when it comes again. A repeat gets the
+    stored reply object itself, which callers only read.
     """
 
     role: str = ""
@@ -116,7 +89,7 @@ class ModelClient(ABC):
         self._replies: dict = {}
 
     def complete(self, request: dict) -> dict:
-        key = request_key(request)
+        key = canonical_json(request)
         reply = self._replies.get(key)
         if reply is not None:
             self.reused += 1
@@ -146,8 +119,7 @@ class ModelClient(ABC):
             return ClientError(f"client returned status {response.get('status')!r}")
         if self.role == "scorer":
             score = response.get("score")
-            number = isinstance(score, (int, float)) and not isinstance(score, bool)
-            if not (number and 0.0 <= score <= 1.0):  # NaN fails the comparison
+            if not is_unit_score(score):
                 return ClientError(f"client returned score {score!r}, not a number in [0, 1]")
         elif not isinstance(response.get("text"), str):
             return ClientError(f"client returned text {response.get('text')!r}, not a string")
@@ -295,7 +267,7 @@ class HttpEmbeddingClient(EmbeddingClient):
 
 
 class ScreenerClient(ABC):
-    """Remote binary quality screener. Wire: {"question", "answer"} -> {"label": 0|1}."""
+    """Remote binary quality screener. Wire: {"question", "answer"} -> {"label": integer 0|1}."""
 
     @abstractmethod
     def classify(self, question: str, answer: str) -> int:
@@ -309,16 +281,16 @@ class HttpScreenerClient(ScreenerClient):
     def classify(self, question: str, answer: str) -> int:
         response = post_json(self.endpoint, {"question": question, "answer": answer})
         label = response.get("label")
-        if label not in (0, 1):
-            raise ClientError(f"screener endpoint returned label {label!r}")
-        return int(label)
+        if type(label) is not int or label not in (0, 1):  # not true, false or 1.0
+            raise ClientError(f"screener endpoint returned label {label!r}, not 0 or 1")
+        return label
 
 
 class TrainerClient(ABC):
     """Fine-tune-and-validate service.
 
     Wire: {"dataset": location, "base_model", "epochs", "validation_set"}
-    -> {"score": float in [0, 1]}.
+    -> {"score": number in [0, 1]}.
     """
 
     @abstractmethod
@@ -344,10 +316,10 @@ class HttpTrainerClient(TrainerClient):
                 "validation_set": validation_set,
             },
         )
-        score = float(response["score"])
-        if not 0.0 <= score <= 1.0:
-            raise ClientError(f"trainer returned out-of-range score {score}")
-        return score
+        score = response.get("score")
+        if not is_unit_score(score):
+            raise ClientError(f"trainer returned score {score!r}, not a number in [0, 1]")
+        return float(score)
 
 
 class AgentClient(ABC):

@@ -11,6 +11,8 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 from urllib.parse import urlsplit
 
+from .corpus import canonical_json
+
 ENV_AGENT_ENDPOINT = "PIPECRAFT_AGENT_ENDPOINT"
 ENV_EMBEDDER_ENDPOINT = "PIPECRAFT_EMBEDDER_ENDPOINT"
 ENV_SCREENER_ENDPOINT = "PIPECRAFT_SCREENER_ENDPOINT"
@@ -74,8 +76,8 @@ class OperatorConfig:
             raise ConfigError("selection_keep_fraction must be in (0, 1]")
 
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        """SHA-256 of the config's canonical JSON text, to 16 hex digits."""
+        return hashlib.sha256(canonical_json(asdict(self)).encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 A dataset is an ordered, immutable collection of QA samples. Its content
 fingerprint, over its samples' canonical lines, is what the prefix-reuse cache
 keys on; it is computed on first read, and each sample computes its line once.
+:func:`canonical_json`, the package's one canonical JSON form, also keys the
+operator config digest and each model client's reply memo.
 """
 from __future__ import annotations
 
@@ -19,6 +21,15 @@ FIELD_ID = "id"
 FIELD_QUESTION = "question"
 FIELD_ANSWER = "answer"
 FIELD_META = "meta"
+
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def canonical_json(value) -> str:
+    """Compact JSON text, keys sorted, strings raw: equal exactly for values equal
+    as JSON (``1``, ``1.0`` and ``True`` differ; a tuple is its list). A dict
+    whose keys mix strings and numbers cannot be sorted: ``TypeError``."""
+    return _CANONICAL_ENCODER.encode(value)
 
 
 class DatasetError(ValueError):
@@ -56,14 +67,9 @@ class Sample:
 
     @cached_property
     def canonical(self) -> str:
-        """Canonical one-line JSON form: sorted keys, fixed separators."""
-        record = {
-            FIELD_ID: self.id,
-            FIELD_QUESTION: self.question,
-            FIELD_ANSWER: self.answer,
-            FIELD_META: self.meta,
-        }
-        return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+        """The record's :func:`canonical_json` line."""
+        return canonical_json({FIELD_ID: self.id, FIELD_QUESTION: self.question,
+                               FIELD_ANSWER: self.answer, FIELD_META: self.meta})
 
     def with_fields(
         self,

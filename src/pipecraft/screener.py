@@ -3,7 +3,8 @@
 The screener decides which samples get routed through model-backed teams and
 how the sampler stratifies. The default is a deterministic rule set sharing
 its thresholds with the cleaning filters; a remote classifier can be dropped
-in behind the same interface and falls back to the rules on failure.
+in behind the same interface and falls back to the rules on failure; after
+``REMOTE_FAILURE_LIMIT`` failures in a row it is not called again.
 """
 from __future__ import annotations
 
@@ -25,6 +26,9 @@ REASON_MISSING_QUESTION = "missing-question"
 REASON_MISSING_ANSWER = "missing-answer"
 REASON_MARKUP = "markup"
 REASON_REMOTE_FALLBACK = "remote-fallback"
+
+# consecutive remote failures after which a screener stops calling its client
+REMOTE_FAILURE_LIMIT = 3
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,10 @@ class Screener:
 
     ``classify_calls`` counts the samples classified (cache misses), and
     ``remote_fallbacks`` those of them the heuristic decided because the
-    remote classifier failed; only the first such failure is logged.
+    remote classifier failed; only the first such failure is logged. After
+    ``REMOTE_FAILURE_LIMIT`` failures in a row, a success resetting the
+    count, the remote classifier is not called again: every later miss is a
+    fallback, so a dead endpoint costs a run at most that many timeouts.
     """
 
     def __init__(
@@ -81,6 +88,7 @@ class Screener:
         self._cache: dict[tuple[str, str], ScreenerVerdict] = {}
         self.classify_calls = 0
         self.remote_fallbacks = 0
+        self._remote_failures = 0  # in a row
 
     def classify(self, sample: Sample) -> ScreenerVerdict:
         key = (sample.question, sample.answer)
@@ -96,17 +104,19 @@ class Screener:
     def _classify_uncached(self, sample: Sample) -> ScreenerVerdict:
         if self.client is None:
             return heuristic_verdict(sample, self.cfg)
-        try:
-            label = self.client.classify(sample.question, sample.answer)
-        except Exception as exc:  # noqa: BLE001 - remote failure falls back
-            if not self.remote_fallbacks:
-                logger.warning("remote screener failed (%s); using heuristic fallback", exc)
-            self.remote_fallbacks += 1
-            fallback = heuristic_verdict(sample, self.cfg)
-            return ScreenerVerdict(
-                fallback.label, fallback.reasons + (REASON_REMOTE_FALLBACK,)
-            )
-        return ScreenerVerdict(label)
+        if self._remote_failures < REMOTE_FAILURE_LIMIT:
+            try:
+                label = self.client.classify(sample.question, sample.answer)
+            except Exception as exc:  # noqa: BLE001 - remote failure falls back
+                if not self.remote_fallbacks:
+                    logger.warning("remote screener failed (%s); using heuristic fallback", exc)
+                self._remote_failures += 1
+            else:
+                self._remote_failures = 0
+                return ScreenerVerdict(label)
+        self.remote_fallbacks += 1
+        fallback = heuristic_verdict(sample, self.cfg)
+        return ScreenerVerdict(fallback.label, fallback.reasons + (REASON_REMOTE_FALLBACK,))
 
     def partition(self, dataset: Dataset) -> tuple[Dataset, Dataset]:
         """Split into (clean, noisy), preserving order within each part."""

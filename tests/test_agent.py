@@ -24,10 +24,11 @@ from pipecraft.agent import (
 from pipecraft.cache import StrategyCache
 from pipecraft.clients import ClientError, EmbeddingClient, TrainerClient
 from pipecraft.config import EvalConfig, OperatorConfig, RunConfig, TrainerConfig
-from pipecraft.corpus import Dataset
+from pipecraft.corpus import Dataset, Sample
 from pipecraft.evaluation import RunLog
 from pipecraft.operators import ExecutionContext, apply_strategy
 from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team
+from pipecraft.synthetic import messy_corpus
 from tests.scripted_clients import ScriptedAgent
 from tests.test_operators import messy_test_corpus
 
@@ -292,7 +293,6 @@ def convergence_corpus() -> Dataset:
     """Every team changes bytes at every trajectory step: missing-answer
     samples survive cleaning and selection, so Optimization (meta flags) and
     Generation (filled answers) stay distinguishable from their prefixes."""
-    from pipecraft.corpus import Sample
     from tests.conftest import clean_sample, make_words
 
     rng = random.Random(77)
@@ -545,3 +545,41 @@ class TestSearchLoop:
         )
         with pytest.raises(SearchError, match="^sampling failed: .*embedder unreachable"):
             run_search(messy_test_corpus(0), RunConfig(sampling_rate=0.5), ctx)
+
+
+class RecordingAgent(HillClimbAgent):
+    """The hill climber, save that its first reply is unparseable; keeps every
+    message it receives and every reply it sends."""
+
+    def __init__(self) -> None:
+        self.received: list[str] = []
+        self.sent: list[str] = []
+
+    def complete(self, messages, temperature, seed):
+        self.received += [message["content"] for message in messages]
+        reply = super().complete(messages, temperature, seed) if self.sent else "gibberish"
+        self.sent.append(reply)
+        return reply
+
+
+def test_agent_never_sees_corpus_text(tmp_path):
+    """The paper's privacy premise: the agent chooses strategies from their
+    names and feedback scores alone. A canary in every id, every present
+    question and answer (missing fields stay missing, so Generation still has
+    work) and every meta value reaches no message the agent receives or sends."""
+    canary = "zq7canary"
+    corpus = Dataset.from_samples(
+        Sample(id=f"{sample.id}-{canary}",
+               question=sample.question and f"{sample.question} {canary}",
+               answer=sample.answer and f"{sample.answer} {canary}",
+               meta={"source": canary})
+        for sample in messy_corpus(4))
+    agent = RecordingAgent()
+    ctx = make_search_ctx(tmp_path, agent)
+    result = run_search(corpus, RunConfig(sampling_rate=0.5), ctx)
+    assert agent.sent[0] == "gibberish" and _REPROMPT_MESSAGE in agent.received
+    assert len(result.rounds) >= 2  # the agent saw feedback, not only the first prompt
+    final = apply_strategy(result.best_strategy, corpus, ctx)
+    assert any(canary in sample.canonical for sample in final)  # the canary survives processing
+    for message in agent.received + agent.sent:
+        assert canary not in message.lower()

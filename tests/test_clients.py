@@ -28,7 +28,7 @@ from pipecraft.clients import (
 )
 from pipecraft.config import (ENV_AGENT_ENDPOINT, ENV_CACHE_ROOT, ENV_EMBEDDER_ENDPOINT,
                               ENV_SCREENER_ENDPOINT, ENV_TRAINER_ENDPOINT)
-from pipecraft.corpus import save_dataset
+from pipecraft.corpus import canonical_json, save_dataset
 from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import clean_text, clear_run_memos, is_allowed_char
 from tests.conftest import bench_corpora_module, copies_corpus, random_unicode, window_hash_int
@@ -165,14 +165,15 @@ def json_value(rng: random.Random, depth: int = 0):
 
 
 class TestRequestKey:
-    """Two keys are equal exactly when the values' sorted JSON texts are."""
+    """A request's memo key is its ``canonical_json`` text: two keys are equal
+    exactly when the values' sorted JSON texts are."""
 
     def test_agrees_with_sorted_json_on_random_values(self):
         rng = random.Random(22)
         values = [json_value(rng) for _ in range(600)]
         values += [dict(reversed(list(v.items()))) for v in values if isinstance(v, dict)]
         texts = [json.dumps(v, sort_keys=True) for v in values]
-        keys = [clients.request_key(v) for v in values]
+        keys = [canonical_json(v) for v in values]
         equal_pairs = 0
         for i, j in itertools.combinations(range(len(values)), 2):
             assert (keys[i] == keys[j]) == (texts[i] == texts[j]), (values[i], values[j])
@@ -186,7 +187,7 @@ class TestRequestKey:
     ])
     def test_python_equal_or_alike_json_unequal(self, one, other):
         assert json.dumps(one, sort_keys=True) != json.dumps(other, sort_keys=True)
-        assert clients.request_key(one) != clients.request_key(other)
+        assert canonical_json(one) != canonical_json(other)
 
     @pytest.mark.parametrize("one, other", [
         ([1, 2], (1, 2)), ({1: "x"}, {"1": "x"}), ({"b": 1, "a": 2}, {"a": 2, "b": 1}),
@@ -194,15 +195,15 @@ class TestRequestKey:
     ])
     def test_json_equal(self, one, other):
         assert json.dumps(one, sort_keys=True) == json.dumps(other, sort_keys=True)
-        assert clients.request_key(one) == clients.request_key(other)
+        assert canonical_json(one) == canonical_json(other)
 
     def test_other_types_never_match_an_unequal_value(self):
         class Text(str):
             pass
 
-        assert clients.request_key(Text("a")) != clients.request_key('"a"')
-        assert clients.request_key(Text("a")) == clients.request_key(Text("a"))
-        assert clients.request_key({Text("a"): 1}) == clients.request_key({"a": 1})
+        assert canonical_json(Text("a")) != canonical_json('"a"')
+        assert canonical_json(Text("a")) == canonical_json(Text("a"))
+        assert canonical_json({Text("a"): 1}) == canonical_json({"a": 1})
 
 
 def test_no_request_reaches_a_model_twice_in_a_run(tmp_path, monkeypatch, capsys):
@@ -537,6 +538,51 @@ class TestPostJson:
         self._answer(monkeypatch, b"[]")
         with pytest.raises(ClientError):
             HttpScreenerClient("http://svc/screen").classify("q", "a")
+
+
+class TestStrictReplies:
+    """The remote screener answers with the integer 0 or 1 and the trainer
+    with a real number in [0, 1], checked as strictly as the scorer's reply;
+    any other body is a ``ClientError``. ``urlopen`` is replaced, so no
+    request leaves the process."""
+
+    def answer(self, monkeypatch, body: bytes):
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout: CannedResponse(body))
+
+    @pytest.mark.parametrize("body, label", [(b'{"label": 0}', 0), (b'{"label": 1}', 1)])
+    def test_screener_label(self, monkeypatch, body, label):
+        self.answer(monkeypatch, body)
+        result = HttpScreenerClient("http://svc/screen").classify("q", "a")
+        assert result == label and type(result) is int
+
+    @pytest.mark.parametrize("body", [
+        b'{"label": true}', b'{"label": false}', b'{"label": 1.0}', b'{"label": 0.0}',
+        b'{"label": "1"}', b'{"label": null}', b'{"label": 2}', b'{"label": -1}',
+        b'{"label": [1]}', b"{}",
+    ], ids=bytes.decode)
+    def test_screener_bad_label(self, monkeypatch, body):
+        self.answer(monkeypatch, body)
+        with pytest.raises(ClientError, match="not 0 or 1"):
+            HttpScreenerClient("http://svc/screen").classify("q", "a")
+
+    @pytest.mark.parametrize("body, score", [
+        (b'{"score": 0}', 0.0), (b'{"score": 1}', 1.0), (b'{"score": 0.25}', 0.25),
+    ])
+    def test_trainer_score(self, monkeypatch, body, score):
+        self.answer(monkeypatch, body)
+        result = HttpTrainerClient("http://svc/train").evaluate("/d", "m", 1, "v")
+        assert result == score and type(result) is float
+
+    @pytest.mark.parametrize("body", [
+        b'{"score": true}', b'{"score": false}', b'{"score": "0.5"}', b'{"score": NaN}',
+        b'{"score": Infinity}', b'{"score": null}', b'{"score": 1.5}', b'{"score": -0.1}',
+        b'{"score": [0.5]}', b"{}",
+    ], ids=bytes.decode)
+    def test_trainer_bad_score(self, monkeypatch, body):
+        self.answer(monkeypatch, body)
+        with pytest.raises(ClientError, match=r"not a number in \[0, 1\]"):
+            HttpTrainerClient("http://svc/train").evaluate("/d", "m", 1, "v")
 
 
 def run_fresh(code: str) -> str:

@@ -9,6 +9,7 @@ from pipecraft.screener import (
     REASON_MARKUP,
     REASON_MISSING_ANSWER,
     REASON_REMOTE_FALLBACK,
+    REMOTE_FAILURE_LIMIT,
     Screener,
 )
 from pipecraft.textstats import REASON_NGRAM
@@ -129,16 +130,23 @@ def test_verdicts_cached_per_sample():
 
 
 class _StubRemote(ScreenerClient):
+    """``fail`` is True, False, or one bool per call."""
+
     def __init__(self, label=0, fail=False):
         self.label = label
         self.fail = fail
         self.calls = 0
 
     def classify(self, question, answer):
+        fail = self.fail if isinstance(self.fail, bool) else self.fail[self.calls]
         self.calls += 1
-        if self.fail:
+        if fail:
             raise RuntimeError("remote down")
         return self.label
+
+
+def distinct_samples(count: int) -> list[Sample]:
+    return [Sample(id=f"s{i}", question=f"question {i}", answer="") for i in range(count)]
 
 
 class TestRemoteScreener:
@@ -154,3 +162,20 @@ class TestRemoteScreener:
         verdict = screener.classify(Sample(id="x", question="q", answer=""))
         assert verdict.is_noisy  # heuristic rules decided
         assert REASON_REMOTE_FALLBACK in verdict.reasons
+
+    def test_failures_in_a_row_stop_the_remote_calls(self):
+        remote = _StubRemote(fail=True)
+        screener = Screener(client=remote)
+        verdicts = [screener.classify(sample) for sample in distinct_samples(7)]
+        assert remote.calls == REMOTE_FAILURE_LIMIT == 3
+        assert screener.classify_calls == screener.remote_fallbacks == 7
+        assert all(REASON_REMOTE_FALLBACK in verdict.reasons for verdict in verdicts)
+
+    def test_a_success_resets_the_failure_count(self):
+        remote = _StubRemote(label=1, fail=[True, True, False] * 3)
+        screener = Screener(client=remote)
+        verdicts = [screener.classify(sample) for sample in distinct_samples(9)]
+        assert remote.calls == 9
+        assert screener.remote_fallbacks == 6
+        assert [REASON_REMOTE_FALLBACK in verdict.reasons for verdict in verdicts] == remote.fail
+        assert [verdict.reasons for verdict in verdicts[2::3]] == [()] * 3  # the remote label

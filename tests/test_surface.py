@@ -73,3 +73,21 @@ def test_every_definition_has_a_reader():
 
 def test_allowlist_holds_only_unread_definitions():
     assert set(ALLOWED) <= set(unread())
+
+
+
+def compact_json_calls(path: Path) -> list[int]:
+    """Lines of ``path`` that pass ``separators=(",", ":")`` to a call."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+            for keyword in node.keywords if keyword.arg == "separators"
+            and ast.unparse(keyword.value) == "(',', ':')"]
+
+
+def test_compact_json_is_written_only_by_the_canonical_form():
+    """``corpus.canonical_json`` is the package's one compact sorted JSON
+    form, read by sample lines, the config digest and the model-reply memo;
+    a second definition elsewhere could drift from it."""
+    found = {path.name: compact_json_calls(path) for path in PACKAGE.glob("*.py")}
+    assert len(found.pop("corpus.py")) == 1
+    assert {name: lines for name, lines in found.items() if lines} == {}
