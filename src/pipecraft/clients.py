@@ -15,6 +15,7 @@ earlier replies, and ``failed`` counts requests that failed every attempt.
 from __future__ import annotations
 
 import json
+import reprlib
 from abc import ABC, abstractmethod
 from typing import Sequence
 
@@ -256,9 +257,17 @@ class HttpEmbeddingClient(EmbeddingClient):
 
     def embed(self, text: str) -> np.ndarray:
         response = post_json(self.endpoint, {"text": text})
-        vector = np.asarray(response["vector"], dtype=np.float64)
-        if vector.ndim != 1 or vector.size == 0:
-            raise ClientError(f"embedding endpoint returned shape {vector.shape}, not a vector")
+        values = response.get("vector")
+        vector = None
+        # numbers only: not true, false, "1", null or a nested list
+        if isinstance(values, list) and values and all(type(v) in (int, float) for v in values):
+            try:
+                vector = np.array(values, dtype=np.float64)
+            except OverflowError:  # an integer beyond float range
+                pass
+        if vector is None or not np.isfinite(vector).all():
+            raise ClientError(f"embedding endpoint returned \"vector\" {reprlib.repr(values)}, "
+                              "not a vector of finite numbers")
         self.dimension = self.dimension or vector.size
         if vector.size != self.dimension:
             raise ClientError(f"embedding endpoint returned {vector.size} values, "

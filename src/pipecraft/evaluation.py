@@ -13,6 +13,10 @@ scores many outputs that share most of their texts, and containment between
 two strings never changes, so one ``ContainmentMemo`` per search records each
 containment once, when a text first arrives; every evaluation then reads its
 own pairs from it. A direct ``proxy_score`` call starts from an empty memo.
+The memo finds a text's holders through an index of the characters beside
+every newline, since each text the proxy scores is ``question + "\n" +
+answer``; a text the index cannot key, or whose every key many texts share,
+is searched for in every longer one.
 """
 from __future__ import annotations
 
@@ -21,15 +25,24 @@ import math
 import tempfile
 import time
 from bisect import bisect_right
+from collections import defaultdict
 from itertools import accumulate, count
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .config import DEFAULT_PROXY_WEIGHTS, EvalConfig, OperatorConfig
 from .corpus import Dataset, save_dataset
 from .operators import ExecutionContext, apply_strategy
 from .strategy import Strategy
 from .textstats import text_profile, violations
+
+
+# characters beside a newline that key a text in ``ContainmentMemo``'s index
+ANCHOR_WIDTH = 16
+# most seen texts that may have a text's key; a text whose every window more
+# texts have is searched for instead, so a window shared by all texts (a
+# common question ending or answer opening) keeps the lookups linear
+ANCHOR_HOLDERS = 32
 
 
 class EvaluationError(RuntimeError):
@@ -41,31 +54,82 @@ class ContainmentMemo:
 
     ``holders`` maps each distinct non-empty text seen so far to the strictly
     longer seen texts that contain it. Containment between two strings never
-    changes, so each text is searched for once, when it first arrives."""
+    changes, so each text is looked up once, when it first arrives.
+
+    Where one text holds another, each newline of the held text lies on a
+    newline of the holder, with the characters beside it. So the memo
+    indexes the windows of every seen text (:func:`_windows`) and looks a
+    text up by its key, the one of its windows that the fewest seen texts
+    have: only those texts can hold it, and one comparison at the aligned
+    offset confirms each. A text with no window, or whose every window more
+    than ``ANCHOR_HOLDERS`` texts have (every question ending in one phrase
+    and every answer starting with one), is searched for in the joined run
+    of longer texts instead, so a shared window costs no more than that
+    scan."""
 
     def __init__(self) -> None:
         self.holders: dict[str, list[str]] = {}
-        self._chars: set[str] = set()
+        # each window of the seen texts -> every (text, start) where it occurs
+        self._windows: dict[str, list[tuple[str, int]]] = defaultdict(list)
+        # each key -> every (text, start of the key) it keys
+        self._keyed: dict[str, list[tuple[str, int]]] = defaultdict(list)
+        # the seen texts with no key, searched for in the texts of each add
+        self._unkeyed: list[str] = []
 
     def add(self, texts: Iterable[str]) -> None:
         """Record every containment between the new texts among ``texts`` and
-        all texts seen so far: each new text is searched in every known text
-        longer than it, and each old text in the new texts longer than it."""
-        new = [text for text in dict.fromkeys(texts) if text and text not in self.holders]
+        all texts seen so far. Each known key is looked for among the new
+        texts' windows; then each new text takes as its key the window of it
+        that the fewest texts have, and is compared with those texts. A text
+        with no window, or whose every window more than ``ANCHOR_HOLDERS``
+        texts have, is searched for in the joined run of the longer texts
+        instead: a new one in all texts, a known one in the new texts."""
+        new = {text: list(_windows(text)) for text in dict.fromkeys(texts)
+               if text and text not in self.holders}
         if not new:
             return
-        old = list(self.holders)
         self.holders.update((text, []) for text in new)
-        self._chars.update("".join(new))
-        # a separator no text contains, so no match can span two texts
-        separator = next(chr(code) for code in count() if chr(code) not in self._chars)
-        self._search(new, list(self.holders), separator)
-        if old:
-            self._search(old, new, separator)
+        found: dict[str, dict[str, None]] = defaultdict(dict)
 
-    def _search(self, needles: list[str], haystacks: list[str], separator: str) -> None:
+        def note(needle: str, at: int, holder: str, start: int) -> None:
+            # The needle's key starts at ``at``, the holder's window at ``start``.
+            # Below 0, startswith counts from the end and keeps fewer than
+            # ``at`` characters, too few to match.
+            if len(holder) > len(needle) and holder.startswith(needle, start - at):
+                found[needle][holder] = None
+
+        for holder, windows in new.items():
+            for start, window in windows:
+                for needle, at in self._keyed.get(window, ()):
+                    note(needle, at, holder, start)
+        for text, windows in new.items():
+            for start, window in windows:
+                self._windows[window].append((text, start))
+        unkeyed = []
+        for needle, windows in new.items():
+            # the key: the needle's window that the fewest texts have
+            at, key = min(windows, key=lambda window: len(self._windows[window[1]]),
+                          default=(0, None))
+            if key is None or len(self._windows[key]) > ANCHOR_HOLDERS:
+                unkeyed.append(needle)
+                continue
+            self._keyed[key].append((needle, at))
+            for holder, start in self._windows[key]:
+                note(needle, at, holder, start)
+        for needle, held in found.items():
+            self.holders[needle] += held
+        if unkeyed:
+            self._search(unkeyed, list(self.holders))
+        if self._unkeyed:
+            self._search(self._unkeyed, list(new))
+        self._unkeyed += unkeyed
+
+    def _search(self, needles: list[str], haystacks: list[str]) -> None:
         """Search each needle once, in the joined run of the haystacks strictly
         longer than it, and note each haystack found as its holder."""
+        every = "".join(haystacks) + "".join(needles)
+        # a separator no text contains, so no match can span two texts
+        separator = next(chr(code) for code in count() if chr(code) not in every)
         haystacks = sorted(haystacks, key=len)
         lengths = [len(text) for text in haystacks]
         starts = list(accumulate((length + 1 for length in lengths[:-1]), initial=0))
@@ -77,6 +141,18 @@ class ContainmentMemo:
                 holder = bisect_right(starts, position) - 1
                 self.holders[needle].append(haystacks[holder])
                 position = joined.find(needle, starts[holder] + lengths[holder] + 1)
+
+
+def _windows(text: str) -> Iterator[tuple[int, str]]:
+    """``(start, window)`` for each run of ``ANCHOR_WIDTH + 1`` characters
+    of ``text`` that ends or begins at one of its newlines, in text order."""
+    newline = text.find("\n")
+    while newline >= 0:
+        if newline >= ANCHOR_WIDTH:
+            yield newline - ANCHOR_WIDTH, text[newline - ANCHOR_WIDTH : newline + 1]
+        if newline + ANCHOR_WIDTH < len(text):
+            yield newline, text[newline : newline + ANCHOR_WIDTH + 1]
+        newline = text.find("\n", newline + 1)
 
 
 def _containment_duplicate_ratio(texts: list[str], memo: ContainmentMemo | None = None) -> float:

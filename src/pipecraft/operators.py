@@ -61,7 +61,8 @@ GENERATION_SHOT_COUNT = 3
 _EMPTY_SENTINEL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # one past the last code point: pads a text shorter than a shingle
 _PAD_BYTES = (0x110000).to_bytes(4, "little")
-# most shingle windows hashed at once, which bounds the transient arrays
+# most shingle windows hashed at once, which bounds the hashing arrays (the
+# densification works on the whole signature matrix)
 SIGN_BLOCK_WINDOWS = 1 << 15
 
 
@@ -127,7 +128,8 @@ def minhash_signature(texts: Sequence[str], cfg: MinhashConfig) -> np.ndarray:
     seeded candidate order (optimal densification), so every bin of every
     non-empty text is filled. An empty text has no shingles and gets the
     sentinel row, so two empty texts still hash identically. The texts are
-    hashed a block of whole texts at a time (see :func:`_blocks`).
+    hashed a block of whole texts at a time (see :func:`_blocks`), and the
+    whole matrix is densified at once.
     """
     num_bins = cfg.num_permutations
     bins = np.uint64(num_bins)
@@ -140,10 +142,7 @@ def minhash_signature(texts: Sequence[str], cfg: MinhashConfig) -> np.ndarray:
         np.add(cells, hashes % bins, out=cells, casting="unsafe")
         hashes //= bins
         np.minimum.at(signatures.reshape(-1), cells, hashes)
-    candidates = _densify_candidates(num_bins)
-    step = max(1, SIGN_BLOCK_WINDOWS // num_bins)
-    for start in range(0, len(texts), step):
-        _densify(signatures[start : start + step], candidates)
+    _densify(signatures, _densify_candidates(num_bins))
     return signatures
 
 

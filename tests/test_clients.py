@@ -541,10 +541,11 @@ class TestPostJson:
 
 
 class TestStrictReplies:
-    """The remote screener answers with the integer 0 or 1 and the trainer
-    with a real number in [0, 1], checked as strictly as the scorer's reply;
-    any other body is a ``ClientError``. ``urlopen`` is replaced, so no
-    request leaves the process."""
+    """The remote screener answers with the integer 0 or 1, the trainer
+    with a real number in [0, 1] and the embedder with a list of finite
+    numbers, checked as strictly as the scorer's reply; any other body is a
+    ``ClientError``. ``urlopen`` is replaced, so no request leaves the
+    process."""
 
     def answer(self, monkeypatch, body: bytes):
         monkeypatch.setattr(urllib.request, "urlopen",
@@ -583,6 +584,27 @@ class TestStrictReplies:
         self.answer(monkeypatch, body)
         with pytest.raises(ClientError, match=r"not a number in \[0, 1\]"):
             HttpTrainerClient("http://svc/train").evaluate("/d", "m", 1, "v")
+
+    @pytest.mark.parametrize("body", [
+        b'{"vector": [0.5, -2, 3.0]}', b'{"vector": [1e308]}',
+    ], ids=bytes.decode)
+    def test_embedding_vector(self, monkeypatch, body):
+        self.answer(monkeypatch, body)
+        vector = HttpEmbeddingClient("http://svc/embed").embed("q")
+        assert vector.dtype == np.float64 and vector.tolist() == json.loads(body)["vector"]
+
+    @pytest.mark.parametrize("body", [
+        b"{}", b'{"vector": null}', b'{"vector": "1, 2"}', b'{"vector": [true, false]}',
+        b'{"vector": ["1", "2"]}', b'{"vector": [null, 1.0]}', b'{"vector": [NaN, 1.0]}',
+        b'{"vector": [1.0, Infinity]}', b'{"vector": [-Infinity]}', b'{"vector": [1e400]}',
+        b'{"vector": [1' + b"0" * 400 + b']}', b'{"vector": {"0": 1.0}}',
+    ], ids=lambda body: body.decode()[:40])
+    def test_embedding_bad_vector(self, monkeypatch, body):
+        self.answer(monkeypatch, body)
+        client = HttpEmbeddingClient("http://svc/embed")
+        with pytest.raises(ClientError, match="not a vector of finite numbers"):
+            client.embed("q")
+        assert client.dimension == 0
 
 
 def run_fresh(code: str) -> str:

@@ -119,12 +119,66 @@ def containment_case(rng: random.Random) -> list[str]:
     return texts
 
 
+def combined_case(rng: random.Random, pool: list[str] = ()) -> list[str]:
+    """Texts shaped like ``question + "\\n" + answer`` over a small alphabet:
+    one or several newlines, a newline first or last, sides shorter than,
+    as long as and longer than the index's key window, exact copies, texts
+    that hold an earlier one (or one of ``pool``), and slices of one that
+    end at a newline or span two."""
+    width = evaluation.ANCHOR_WIDTH
+    alphabet = rng.choice(("a", "ab", "ab\u00e9"))
+
+    def side() -> str:
+        size = rng.choice((0, 1, width - 1, width, width + 1, 2 * width + 3))
+        return "".join(rng.choices(alphabet, k=size))
+
+    texts: list[str] = []
+    for _ in range(rng.randint(0, 14)):
+        earlier = texts + list(pool)
+        with_newline = [text for text in earlier if "\n" in text]
+        roll = rng.random()
+        if earlier and roll < 0.15:
+            texts.append(rng.choice(earlier))
+        elif earlier and roll < 0.35:
+            texts.append(rng.choice(("", side(), side() + "\n")) + rng.choice(earlier)
+                         + rng.choice(("", side(), "\n" + side())))
+        elif with_newline and roll < 0.55:
+            text = rng.choice(with_newline)
+            newlines = [at for at, char in enumerate(text) if char == "\n"]
+            first = rng.randrange(len(newlines))
+            last = min(len(newlines) - 1, first + rng.randint(0, 1))
+            start = rng.randint(0, newlines[first])
+            end = rng.choice((newlines[last] + 1, rng.randint(newlines[last] + 1, len(text))))
+            texts.append(text[start:end])
+        else:
+            texts.append("\n".join(side() for _ in range(rng.choice((2, 2, 2, 3, 4)))))
+    return texts
+
+
+def keyed_containments(texts: list[str]) -> list[tuple[str, str]]:
+    """The pairs ``(needle, holder)`` of distinct texts where the holder
+    holds the needle and the needle has a window, so the memo finds the pair
+    through its index, not its scan."""
+    distinct = [text for text in set(texts) if text]
+    return [(needle, holder) for needle in distinct if any(evaluation._windows(needle))
+            for holder in distinct if len(holder) > len(needle) and needle in holder]
+
+
 class TestContainmentScan:
     def test_matches_quadratic_oracle_on_random_unicode(self):
         rng = random.Random(2024)
         for _ in range(3000):
             texts = containment_case(rng)
             assert _containment_duplicate_ratio(texts) == quadratic_duplicate_ratio(texts), texts
+
+    def test_matches_quadratic_oracle_on_combined_texts(self):
+        rng = random.Random(2026)
+        keyed = 0
+        for _ in range(3000):
+            texts = combined_case(rng)
+            keyed += len(keyed_containments(texts))
+            assert _containment_duplicate_ratio(texts) == quadratic_duplicate_ratio(texts), texts
+        assert keyed > 1000  # premise: the index, not only the scan, finds holders
 
     def test_empty_text_never_contains_or_is_contained(self):
         assert _containment_duplicate_ratio(["", "a", "b"]) == 0.0
@@ -175,6 +229,91 @@ class TestContainmentMemo:
                 seen += texts
                 assert _containment_duplicate_ratio(texts, memo) == \
                     quadratic_duplicate_ratio(texts), texts
+
+    def test_shared_memo_matches_oracle_on_combined_texts(self):
+        """Later calls hold texts of earlier ones and are held by them, so
+        known texts meet new holders and new texts meet known holders."""
+        rng = random.Random(2027)
+        # keyed pairs of one call whose needle is known and holder new, and
+        # whose needle is new and holder known
+        across = Counter()
+        for _ in range(300):
+            memo = ContainmentMemo()
+            seen: list[str] = []
+            for _ in range(rng.randint(2, 6)):
+                texts = combined_case(rng, seen) + rng.sample(seen, min(len(seen), rng.randint(0, 10)))
+                rng.shuffle(texts)
+                known = set(seen)
+                across.update((needle in known, holder in known)
+                              for needle, holder in keyed_containments(texts))
+                seen += texts
+                assert _containment_duplicate_ratio(texts, memo) == \
+                    quadratic_duplicate_ratio(texts), texts
+        assert across[True, False] > 100 and across[False, True] > 100, across
+
+    @pytest.mark.parametrize("holders", [1, 3])
+    def test_few_holders_per_key_match_oracle_on_combined_texts(self, monkeypatch, holders):
+        """With a key allowed to few texts, the texts of one memo split
+        between the index and the scan and meet each other across calls."""
+        monkeypatch.setattr(evaluation, "ANCHOR_HOLDERS", holders)
+        rng = random.Random(2028 + holders)
+        keyed = scanned = 0
+        for _ in range(200):
+            memo = ContainmentMemo()
+            seen: list[str] = []
+            for _ in range(rng.randint(2, 6)):
+                texts = combined_case(rng, seen) + rng.sample(seen, min(len(seen), rng.randint(0, 10)))
+                rng.shuffle(texts)
+                seen += texts
+                assert _containment_duplicate_ratio(texts, memo) == \
+                    quadratic_duplicate_ratio(texts), texts
+            keyed += sum(map(len, memo._keyed.values()))
+            scanned += sum(1 for text in memo._unkeyed if any(evaluation._windows(text)))
+        # premise: both routes take texts that have a window
+        assert keyed > 500 and scanned > 500, (keyed, scanned)
+
+    def test_shared_question_ending_and_answer_opening(self):
+        """Every question ends in one phrase and every answer opens with one,
+        so every text has the same two windows. The first call's texts are
+        keyed by them; once more than ``ANCHOR_HOLDERS`` texts have them,
+        new texts are scanned, and no key is held by more texts than that."""
+        rng = random.Random(2029)
+        ending, opening = " Answer in one word, please.", "The answer is as follows: "
+        memo = ContainmentMemo()
+        seen: list[str] = []
+        for size in (20, 60, 60):
+            texts: list[str] = []
+            for _ in range(size):
+                earlier = seen + texts
+                roll = rng.random()
+                if earlier and roll < 0.2:
+                    # the question alone, up to and with its newline
+                    texts.append(rng.choice(earlier).split("\n")[0] + "\n")
+                elif earlier and roll < 0.4:
+                    whole = [text for text in earlier if not text.endswith("\n")]
+                    texts.append(rng.choice(whole) + " " + make_words(rng, 2))
+                elif earlier and roll < 0.5:
+                    texts.append(rng.choice(earlier))
+                else:
+                    texts.append(make_words(rng, rng.randint(1, 4)) + ending + "\n"
+                                 + opening + make_words(rng, rng.randint(1, 4)))
+            assert _containment_duplicate_ratio(texts, memo) == quadratic_duplicate_ratio(texts)
+            seen += texts
+        assert len({window for text in memo.holders for _, window in evaluation._windows(text)}) == 2
+        assert sum(map(len, memo.holders.values())) > 50  # premise: many containments
+        keys = [len(needles) for needles in memo._keyed.values()]
+        assert sum(keys) > 10 and len(memo._unkeyed) > 60
+        assert max(keys) <= evaluation.ANCHOR_HOLDERS
+
+    def test_key_is_the_window_fewest_texts_have(self):
+        """Questions that share their ending are keyed by their answers'
+        openings, which differ."""
+        texts = [f"question {i} ends: Answer in one word, please.\nanswer {i:03d} is this one"
+                 for i in range(10)]
+        memo = ContainmentMemo()
+        memo.add(texts)
+        width = evaluation.ANCHOR_WIDTH
+        assert sorted(memo._keyed) == sorted(text[text.index("\n"):][: width + 1] for text in texts)
 
     def test_later_texts_hold_earlier_separators(self):
         """The first call is joined on ``\\0``, the second on ``\\x01``; later
