@@ -40,14 +40,16 @@ def post_json(endpoint: str, payload: dict) -> dict:
     body = json.dumps(payload).encode("utf-8")
     try:
         request = urllib.request.Request(endpoint, body, {"Content-Type": "application/json"})
-        response = urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT_S)
+        with urllib.request.urlopen(request, timeout=DEFAULT_TIMEOUT_S) as response:
+            raw = response.read()
     except (ValueError, http.client.InvalidURL) as exc:  # no scheme, a port not a number
         raise ClientError(f"cannot post to {endpoint!r}: {exc}") from exc
-    with response:
-        try:
-            decoded = json.loads(response.read().decode("utf-8"))
-        except ValueError as exc:  # also UnicodeDecodeError
-            raise ClientError(f"{endpoint} answered with a body that is not JSON: {exc}") from exc
+    except http.client.HTTPException as exc:  # an answer not in HTTP, a body cut short
+        raise ClientError(f"{endpoint} broke off the HTTP exchange: {exc!r}") from exc
+    try:
+        decoded = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ClientError(f"{endpoint} answered with a body that is not JSON: {exc}") from exc
     if not isinstance(decoded, dict):
         raise ClientError(f"{endpoint} answered with JSON {type(decoded).__name__}, not an object")
     return decoded
@@ -242,8 +244,9 @@ class HashingEmbedder(EmbeddingClient):
 
     def embed(self, text: str) -> np.ndarray:
         codes = np.frombuffer(f"^{text}$".encode("utf-32-le"), dtype=np.uint32)
-        buckets = ngram_hashes(codes.astype(np.uint64), 3) % np.uint64(self.dimension - 1)
-        vec = np.bincount(buckets.astype(np.intp), minlength=self.dimension)
+        buckets = ngram_hashes(codes, 3)
+        buckets %= np.uint64(self.dimension - 1)
+        vec = np.bincount(buckets.view(np.intp), minlength=self.dimension)
         vec = vec.astype(np.float64)  # integer counts, exact in float64
         vec[self.dimension - 1] = 1.0
         return vec

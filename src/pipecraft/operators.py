@@ -112,8 +112,7 @@ def _window_hashes(texts: list[str], windows: np.ndarray, shingle_size: int) -> 
     windows that straddle two texts are dropped."""
     data = b"".join(text.encode("utf-32-le") + _PAD_BYTES * (shingle_size - len(text))
                     for text in texts)
-    codes = np.frombuffer(data, dtype=np.uint32).astype(np.uint64)
-    hashes = ngram_hashes(codes, shingle_size)
+    hashes = ngram_hashes(np.frombuffer(data, dtype=np.uint32), shingle_size)
     ends = np.cumsum(windows + shingle_size - 1)[:-1]
     straddling = (ends[:, None] - np.arange(shingle_size - 1, 0, -1)).ravel()
     return np.delete(hashes, straddling)
@@ -163,10 +162,6 @@ def _densify(signatures: np.ndarray, candidates: np.ndarray) -> None:
         rows, holes = rows[~found], holes[~found]
 
 
-def estimated_jaccard(sig_a: np.ndarray, sig_b: np.ndarray) -> float:
-    return float(np.mean(sig_a == sig_b))
-
-
 def _near_duplicate_texts(
     dataset: Dataset, cfg: OperatorConfig
 ) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -198,7 +193,7 @@ def _near_duplicate_texts(
             for pos, g in enumerate(gids):
                 candidates.update((g, h) for h in gids[pos + 1 :])
     near = [(g, h) for g, h in candidates
-            if estimated_jaccard(signatures[g], signatures[h]) >= mcfg.jaccard_threshold]
+            if np.mean(signatures[g] == signatures[h]) >= mcfg.jaccard_threshold]
     return members, near
 
 

@@ -222,32 +222,28 @@ def violations(profile: TextProfile, cfg: OperatorConfig) -> list[str]:
 
 def _mix64(values: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, in place; uint64 arithmetic wraps mod 2**64 by
-    design, the same in place as out of it."""
-    shifted = np.empty_like(values)
-    for shift, multiplier in ((_SHIFT_1, _MIX_1), (_SHIFT_2, _MIX_2)):
-        np.right_shift(values, shift, out=shifted)
-        values ^= shifted
-        values *= multiplier
-    np.right_shift(values, _SHIFT_3, out=shifted)
-    values ^= shifted
+    design."""
+    values ^= values >> _SHIFT_1
+    values *= _MIX_1
+    values ^= values >> _SHIFT_2
+    values *= _MIX_2
+    values ^= values >> _SHIFT_3
     return values
 
 
 def ngram_hashes(codes: np.ndarray, size: int) -> np.ndarray:
     """Seeded 64-bit hash of every window of ``size`` consecutive code points
-    in the ``uint64`` array ``codes``, in order. A window packs 21 bits per
-    code point, three code points per word with the first lowest, and mixes
-    its words in turn into a splitmix64 chain started at :data:`HASH_SEED`.
-    Every window is hashed at once with slices."""
+    in ``codes``, a ``uint32`` (or ``uint64``) array, in order. A window
+    packs 21 bits per code point, three code points per word with the first
+    lowest, and mixes its words in turn into a splitmix64 chain started at
+    :data:`HASH_SEED`. The fields of a word do not overlap, so each code
+    point is xored into the chain at its field. Every window is hashed at
+    once with slices."""
     count = max(codes.size - size + 1, 0)
-    hashes = np.full(count, HASH_SEED, dtype=np.uint64)
-    word, part = np.empty_like(hashes), np.empty_like(hashes)
-    for word_start in range(0, size, _CODES_PER_WORD):
-        word[:] = codes[word_start : word_start + count]
-        for offset in range(1, min(_CODES_PER_WORD, size - word_start)):
-            start = word_start + offset
-            np.left_shift(codes[start : start + count], np.uint64(_CODE_BITS * offset), out=part)
-            word |= part
-        hashes ^= word
-        _mix64(hashes)
-    return hashes
+    hashes = codes[:count] ^ np.uint64(HASH_SEED)
+    for start in range(1, size):
+        field = start % _CODES_PER_WORD
+        if not field:
+            _mix64(hashes)
+        hashes ^= codes[start : start + count] << np.uint64(_CODE_BITS * field)
+    return _mix64(hashes)

@@ -69,6 +69,20 @@ class CannedResponse:
         return self.body
 
 
+class CutShortResponse(CannedResponse):
+    """A :class:`CannedResponse` whose body ends before the length its
+    headers declared, as ``http.client`` reports it."""
+
+    def read(self) -> bytes:
+        raise http.client.IncompleteRead(self.body, 64)
+
+
+def answer_not_in_http(request, timeout):
+    """Stands in for ``urllib.request.urlopen`` reaching a server that does
+    not answer in HTTP."""
+    raise http.client.BadStatusLine("garbage")
+
+
 def open_without_connecting(request, timeout):
     """Stands in for ``urllib.request.urlopen`` up to where it would connect:
     it parses the request's host and port into a connection object."""

@@ -26,7 +26,8 @@ from pipecraft.sampling import stratified_sample
 from pipecraft.screener import Screener
 from pipecraft.strategy import parse_strategy
 from pipecraft.synthetic import messy_corpus
-from tests.scripted_clients import CannedResponse, open_without_connecting
+from tests.scripted_clients import (CannedResponse, CutShortResponse, answer_not_in_http,
+                                    open_without_connecting)
 
 
 @pytest.fixture
@@ -439,10 +440,27 @@ class TestEnvironmentEndpoints:
 
 
 class TestBadResponseBody:
-    """An endpoint answering with a body that is not a JSON object fails
-    like any other client: the agent and the embedder end the run with one
-    line, the trainer's baseline failure too, and the screener falls back to
-    its heuristic. ``urlopen`` is replaced, so no request leaves the process."""
+    """An endpoint answering with a body that is not a JSON object, not
+    answering in HTTP, or cutting its body short fails like any other
+    client: the agent and the embedder end the run with one line, the
+    trainer's baseline failure too, and the screener falls back to its
+    heuristic. ``urlopen`` is replaced, so no request leaves the process."""
+
+    HTTP_FAILURES = {
+        "bad-status-line": answer_not_in_http,
+        "incomplete-read": lambda request, timeout: CutShortResponse(b'{"content": "Cle'),
+    }
+    # (role, command, exit code, stderr prefix): each command that calls the
+    # role's client; a prefix of None is the screener's counted fallback
+    HTTP_FAILURE_CASES = [
+        ("agent", "run", 1, "run failed: agent client failed: "),
+        ("embedder", "run", 1, "run failed: sampling failed: "),
+        ("embedder", "sample", 1, "sample failed: "),
+        ("trainer", "run", 1, "run failed: baseline evaluation failed: trainer failed: "),
+        ("screener", "run", 0, None),
+        ("screener", "sample", 0, None),
+        ("screener", "apply", 0, None),
+    ]
 
     @pytest.fixture(autouse=True)
     def no_env_endpoints(self, monkeypatch):
@@ -484,6 +502,35 @@ class TestBadResponseBody:
             assert self.run(tmp_path, corpus_path, monkeypatch, b"[]",
                             endpoints={"screener": "http://screener.test/classify"}) == 0
         assert "remote screener failed" in caplog.text
+
+    @pytest.mark.parametrize("failure", sorted(HTTP_FAILURES))
+    @pytest.mark.parametrize("role, command, code, prefix", HTTP_FAILURE_CASES,
+                             ids=[f"{role}-{command}" for role, command, *_ in HTTP_FAILURE_CASES])
+    def test_http_failure_ends_cleanly(self, tmp_path, corpus_path, capsys, caplog, monkeypatch,
+                                       failure, role, command, code, prefix):
+        endpoint = f"http://{role}.test/endpoint"
+        monkeypatch.setenv(ENDPOINT_VARIABLES[role], endpoint)
+        monkeypatch.setattr(urllib.request, "urlopen", self.HTTP_FAILURES[failure])
+        overrides = {"evaluation": {"mode": "trainer"}} if role == "trainer" else {}
+        config = write_config(tmp_path, corpus_path, **overrides)
+        argv = {
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+            "apply": ["apply", "--strategy", "Optimization", "--input", str(corpus_path),
+                      "--output", str(tmp_path / "out.jsonl")],
+            "sample": ["sample", "--input", str(corpus_path),
+                       "--output", str(tmp_path / "subset.jsonl")],
+        }[command]
+        with caplog.at_level(logging.WARNING, logger="pipecraft.screener"):
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if prefix is None:
+            assert "remote screener failed" in caplog.text
+            assert endpoint in caplog.text
+        else:
+            assert err.startswith(prefix)
+            assert len(err.splitlines()) == 1
+            assert endpoint in err
 
     @pytest.mark.parametrize("endpoint", ["notaurl", "http://agent.test:port/complete"],
                              ids=["no-scheme", "bad-port"])
