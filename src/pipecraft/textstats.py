@@ -238,7 +238,9 @@ def ngram_hashes(codes: np.ndarray, size: int) -> np.ndarray:
     lowest, and mixes its words in turn into a splitmix64 chain started at
     :data:`HASH_SEED`. The fields of a word do not overlap, so each code
     point is xored into the chain at its field. Every window is hashed at
-    once with slices."""
+    once with slices. ``uint32`` codes are widened once here, so no operand
+    of the chain depends on NumPy's scalar promotion rules."""
+    codes = codes.astype(np.uint64, copy=False)
     count = max(codes.size - size + 1, 0)
     hashes = codes[:count] ^ np.uint64(HASH_SEED)
     for start in range(1, size):

@@ -409,24 +409,17 @@ class TestHashingExactness:
         monkeypatch.setattr(textstats, "HASH_SEED", 1)
         reseeded = textstats.ngram_hashes(codes, 5), operators._densify_candidates(16)
         assert not any(np.array_equal(a, b) for a, b in zip(shipped, reseeded))
-
-    @pytest.mark.parametrize("seed", [None, 0xDEAD_BEEF_0123_4567], ids=["shipped", "patched"])
-    @pytest.mark.parametrize("size", range(1, 10))
-    def test_uint32_codes_hash_like_uint64(self, monkeypatch, size, seed):
-        """Callers hash the ``uint32`` array ``np.frombuffer`` gives without
-        widening it; sizes 1-9 cross both word boundaries."""
-        if seed is not None:
-            monkeypatch.setattr(textstats, "HASH_SEED", seed)
-        rng = random.Random(size)
-        text = "\U0001F600" + "".join(random_unicode(rng, 60) for _ in range(4)) + "\U0010FFFF"
-        codes = np.frombuffer(text.encode("utf-32-le") + operators._PAD_BYTES * size,
-                              dtype=np.uint32)
-        narrow = textstats.ngram_hashes(codes, size)
-        wide = textstats.ngram_hashes(codes.astype(np.uint64), size)
-        assert narrow.dtype == wide.dtype == np.uint64
-        assert np.array_equal(narrow, wide)
-        if seed is None:
-            assert narrow[0] == window_hash_int(codes[:size].tolist())
+        # Callers hash the uint32 codes np.frombuffer gives; sizes 1-9 cross
+        # both word boundaries, with astral code points and the pad.
+        monkeypatch.setattr(textstats, "HASH_SEED", 0xDEAD_BEEF_0123_4567)
+        for size in range(1, 10):
+            rng = random.Random(size)
+            text = "\U0001F600" + random_unicode(rng, 240) + "\U0010FFFF"
+            narrow = np.frombuffer(text.encode("utf-32-le") + operators._PAD_BYTES * size,
+                                   dtype=np.uint32)
+            hashes = textstats.ngram_hashes(narrow, size)
+            assert hashes.dtype == np.uint64
+            assert np.array_equal(hashes, textstats.ngram_hashes(narrow.astype(np.uint64), size))
 
     def test_mix64_wraps_like_the_reference(self):
         rng = np.random.default_rng(3)
