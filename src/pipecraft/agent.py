@@ -22,7 +22,7 @@ from importlib import resources
 from .clients import AgentClient, ClientError
 from .config import RunConfig
 from .corpus import Dataset
-from .evaluation import ContainmentMemo, EvaluationError, evaluate_strategy
+from .evaluation import EvaluationError, evaluate_strategy
 from .operators import ExecutionContext
 from .sampling import EmbeddingError, stratified_sample
 from .strategy import (
@@ -320,11 +320,12 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
         )
     except EmbeddingError as exc:
         raise SearchError(f"sampling failed: {exc}") from exc
-    # the search's outputs share most of their texts: search each text once
-    memo = ContainmentMemo()
+    # score of each distinct output, by fingerprint: two strategies with one
+    # output are scored once
+    output_scores: dict[str, float] = {}
     try:
         baseline = evaluate_strategy(
-            EMPTY_STRATEGY, sampled, run_cfg.evaluation, ctx, round_index=0, memo=memo
+            EMPTY_STRATEGY, sampled, run_cfg.evaluation, ctx, round_index=0, scores=output_scores
         )
     except EvaluationError as exc:
         raise SearchError(f"baseline evaluation failed: {exc}") from exc
@@ -345,7 +346,9 @@ def run_search(base: Dataset, run_cfg: RunConfig, ctx: ExecutionContext) -> Sear
         if strategy in scores:
             return scores[strategy]
         try:
-            raw = evaluate_strategy(strategy, sampled, run_cfg.evaluation, ctx, round_index, memo)
+            raw = evaluate_strategy(
+                strategy, sampled, run_cfg.evaluation, ctx, round_index, output_scores
+            )
         except EvaluationError as exc:
             key = strategy.canonical()
             logger.warning("evaluation failed for %s: %s", key, exc)

@@ -439,10 +439,22 @@ class TestEnvironmentEndpoints:
         assert "http://screener.env/classify" in caplog.text
 
 
+# JSON-object bodies that lack each role's field or give it a wrong type or value
+BODY_FAILURES = {
+    "agent": {"empty": b"{}", "int-content": b'{"content": 5}'},
+    "embedder": {"empty": b"{}", "nan": b'{"vector": [NaN, 1.0]}',
+                 "bools": b'{"vector": [true, false]}', "string": b'{"vector": "12"}'},
+    "screener": {"empty": b"{}", "two": b'{"label": 2}', "bool": b'{"label": true}',
+                 "float": b'{"label": 1.0}'},
+    "trainer": {"empty": b"{}", "nan": b'{"score": NaN}', "above-one": b'{"score": 1.5}',
+                "bool": b'{"score": true}'},
+}
+
+
 class TestBadResponseBody:
-    """An endpoint answering with a body that is not a JSON object, not
-    answering in HTTP, or cutting its body short fails like any other
-    client: the agent and the embedder end the run with one line, the
+    """An endpoint answering with a body that is not a JSON object, or an
+    object without a valid field for its role, not answering in HTTP, or
+    cutting its body short fails like any other client: the agent and the embedder end the run with one line, the
     trainer's baseline failure too, and the screener falls back to its
     heuristic. ``urlopen`` is replaced, so no request leaves the process."""
 
@@ -503,14 +515,19 @@ class TestBadResponseBody:
                             endpoints={"screener": "http://screener.test/classify"}) == 0
         assert "remote screener failed" in caplog.text
 
-    @pytest.mark.parametrize("failure", sorted(HTTP_FAILURES))
-    @pytest.mark.parametrize("role, command, code, prefix", HTTP_FAILURE_CASES,
-                             ids=[f"{role}-{command}" for role, command, *_ in HTTP_FAILURE_CASES])
-    def test_http_failure_ends_cleanly(self, tmp_path, corpus_path, capsys, caplog, monkeypatch,
-                                       failure, role, command, code, prefix):
-        endpoint = f"http://{role}.test/endpoint"
-        monkeypatch.setenv(ENDPOINT_VARIABLES[role], endpoint)
-        monkeypatch.setattr(urllib.request, "urlopen", self.HTTP_FAILURES[failure])
+    # each body-level failure of the role, through each command above
+    BODY_FAILURE_CASES = [pytest.param(body, role, command, code, prefix,
+                                       id=f"{role}-{command}-{name}")
+                          for role, command, code, prefix in HTTP_FAILURE_CASES
+                          for name, body in BODY_FAILURES[role].items()]
+
+    def assert_ends_cleanly(self, tmp_path, corpus_path, capsys, caplog, monkeypatch,
+                            role, command, code, prefix):
+        """Run ``command`` with ``role``'s endpoint set, ``urlopen`` already
+        replaced: the run ends in ``code`` with one stderr line starting with
+        ``prefix``, or in the screener's counted fallback. Returns what reported the
+        failure: that line, or the screener's log."""
+        monkeypatch.setenv(ENDPOINT_VARIABLES[role], f"http://{role}.test/endpoint")
         overrides = {"evaluation": {"mode": "trainer"}} if role == "trainer" else {}
         config = write_config(tmp_path, corpus_path, **overrides)
         argv = {
@@ -526,11 +543,29 @@ class TestBadResponseBody:
         assert "Traceback" not in err
         if prefix is None:
             assert "remote screener failed" in caplog.text
-            assert endpoint in caplog.text
-        else:
-            assert err.startswith(prefix)
-            assert len(err.splitlines()) == 1
-            assert endpoint in err
+            assert "the heuristic screened them" in caplog.text  # the fallbacks are counted
+            return caplog.text
+        assert err.startswith(prefix)
+        assert len(err.splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("failure", sorted(HTTP_FAILURES))
+    @pytest.mark.parametrize("role, command, code, prefix", HTTP_FAILURE_CASES,
+                             ids=[f"{role}-{command}" for role, command, *_ in HTTP_FAILURE_CASES])
+    def test_http_failure_ends_cleanly(self, tmp_path, corpus_path, capsys, caplog, monkeypatch,
+                                       failure, role, command, code, prefix):
+        monkeypatch.setattr(urllib.request, "urlopen", self.HTTP_FAILURES[failure])
+        report = self.assert_ends_cleanly(tmp_path, corpus_path, capsys, caplog, monkeypatch,
+                                          role, command, code, prefix)
+        assert f"http://{role}.test/endpoint" in report
+
+    @pytest.mark.parametrize("body, role, command, code, prefix", BODY_FAILURE_CASES)
+    def test_bad_field_ends_cleanly(self, tmp_path, corpus_path, capsys, caplog, monkeypatch,
+                                    body, role, command, code, prefix):
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout: CannedResponse(body))
+        self.assert_ends_cleanly(tmp_path, corpus_path, capsys, caplog, monkeypatch,
+                                 role, command, code, prefix)
 
     @pytest.mark.parametrize("endpoint", ["notaurl", "http://agent.test:port/complete"],
                              ids=["no-scheme", "bad-port"])

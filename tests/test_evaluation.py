@@ -1,30 +1,29 @@
 from __future__ import annotations
 
-import gc
+import hashlib
 import json
 import random
-import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from pipecraft import cli, evaluation
+from pipecraft import evaluation
 from pipecraft.agent import HillClimbAgent, run_search
 from pipecraft.cache import StrategyCache
 from pipecraft.clients import TrainerClient
 from pipecraft.config import EvalConfig, OperatorConfig, RunConfig, TrainerConfig
-from pipecraft.corpus import Dataset, Sample, save_dataset
+from pipecraft.corpus import Dataset, Sample, load_dataset
 from pipecraft.evaluation import (
-    ContainmentMemo,
     EvaluationError,
     RunLog,
-    _containment_duplicate_ratio,
     evaluate_strategy,
     proxy_components,
     proxy_score,
 )
-from pipecraft.operators import ExecutionContext, apply_cleaning
-from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team
+from pipecraft.operators import ExecutionContext, apply_cleaning, apply_strategy
+from pipecraft.strategy import EMPTY_STRATEGY, Strategy, Team, enumerate_space
+from pipecraft.synthetic import messy_corpus
 from tests.conftest import clean_corpus, make_words, random_unicode
 from tests.test_operators import messy_test_corpus
 
@@ -100,90 +99,40 @@ def quadratic_duplicate_ratio(texts: list[str]) -> float:
     return duplicates / len(texts)
 
 
-def containment_case(rng: random.Random) -> list[str]:
-    """Short texts over a small alphabet that holds the likeliest separator
-    characters, with exact copies and texts nested in earlier ones."""
-    alphabet = rng.choice(("ab", "a\0b", "\x01\0", "\u00e9\U0001F600a", "ab\0\x01\u00e9\U0001F600"))
-    texts: list[str] = []
-    for _ in range(rng.randint(0, 14)):
-        roll = rng.random()
-        if texts and roll < 0.15:
-            texts.append(rng.choice(texts))
-        elif texts and roll < 0.3:
-            inner = rng.choice(texts)
-            texts.append(random_unicode(rng, 2) + inner + "".join(rng.choices(alphabet, k=2)))
-        elif roll < 0.4:
-            texts.append(random_unicode(rng, 6))
-        else:
-            texts.append("".join(rng.choices(alphabet, k=rng.randint(0, 5))))
-    return texts
-
-
-def combined_case(rng: random.Random, pool: list[str] = ()) -> list[str]:
-    """Texts shaped like ``question + "\\n" + answer`` over a small alphabet:
-    one or several newlines, a newline first or last, sides shorter than,
-    as long as and longer than the index's key window, exact copies, texts
-    that hold an earlier one (or one of ``pool``), and slices of one that
-    end at a newline or span two."""
-    width = evaluation.ANCHOR_WIDTH
-    alphabet = rng.choice(("a", "ab", "ab\u00e9"))
-
-    def side() -> str:
-        size = rng.choice((0, 1, width - 1, width, width + 1, 2 * width + 3))
-        return "".join(rng.choices(alphabet, k=size))
-
-    texts: list[str] = []
-    for _ in range(rng.randint(0, 14)):
-        earlier = texts + list(pool)
-        with_newline = [text for text in earlier if "\n" in text]
-        roll = rng.random()
-        if earlier and roll < 0.15:
-            texts.append(rng.choice(earlier))
-        elif earlier and roll < 0.35:
-            texts.append(rng.choice(("", side(), side() + "\n")) + rng.choice(earlier)
-                         + rng.choice(("", side(), "\n" + side())))
-        elif with_newline and roll < 0.55:
-            text = rng.choice(with_newline)
-            newlines = [at for at, char in enumerate(text) if char == "\n"]
-            first = rng.randrange(len(newlines))
-            last = min(len(newlines) - 1, first + rng.randint(0, 1))
-            start = rng.randint(0, newlines[first])
-            end = rng.choice((newlines[last] + 1, rng.randint(newlines[last] + 1, len(text))))
-            texts.append(text[start:end])
-        else:
-            texts.append("\n".join(side() for _ in range(rng.choice((2, 2, 2, 3, 4)))))
-    return texts
-
-
-def keyed_containments(texts: list[str]) -> list[tuple[str, str]]:
-    """The pairs ``(needle, holder)`` of distinct texts where the holder
-    holds the needle and the needle has a window, so the memo finds the pair
-    through its index, not its scan."""
-    distinct = [text for text in set(texts) if text]
-    return [(needle, holder) for needle in distinct if any(evaluation._windows(needle))
-            for holder in distinct if len(holder) > len(needle) and needle in holder]
-
-
 class TestContainmentScan:
-    def test_matches_quadratic_oracle_on_random_unicode(self):
+    """Uniqueness counts exact copies. On the benchmark's corpora and on
+    every strategy's output of the messy corpora this equals the pairwise
+    containment scan it replaced, so no score there changed."""
+
+    def test_uniqueness_is_the_distinct_fraction(self):
+        """Random samples, some copies of earlier ones, some with an empty
+        question or answer or both."""
         rng = random.Random(2024)
-        for _ in range(3000):
-            texts = containment_case(rng)
-            assert _containment_duplicate_ratio(texts) == quadratic_duplicate_ratio(texts), texts
 
-    def test_matches_quadratic_oracle_on_combined_texts(self):
-        rng = random.Random(2026)
-        keyed = 0
-        for _ in range(3000):
-            texts = combined_case(rng)
-            keyed += len(keyed_containments(texts))
-            assert _containment_duplicate_ratio(texts) == quadratic_duplicate_ratio(texts), texts
-        assert keyed > 1000  # premise: the index, not only the scan, finds holders
+        def side() -> str:
+            return rng.choice(("", random_unicode(rng, rng.randint(1, 4))))
 
-    def test_empty_text_never_contains_or_is_contained(self):
-        assert _containment_duplicate_ratio(["", "a", "b"]) == 0.0
-        assert _containment_duplicate_ratio(["a", "", ""]) == pytest.approx(1 / 3)
-        assert _containment_duplicate_ratio(["b", "ab", "abc", "x"]) == 0.5
+        for _ in range(300):
+            samples: list[Sample] = []
+            for i in range(rng.randint(1, 14)):
+                if samples and rng.random() < 0.3:
+                    copy = rng.choice(samples)
+                    samples.append(Sample(id=f"s{i}", question=copy.question, answer=copy.answer))
+                else:
+                    samples.append(Sample(id=f"s{i}", question=side(), answer=side()))
+            texts = [sample.combined_text for sample in samples]
+            uniqueness = proxy_components(Dataset.from_samples(samples), OperatorConfig())[2]
+            assert uniqueness == pytest.approx(len(set(texts)) / len(texts)), texts
+
+    def test_copy_cut_short_is_unique(self):
+        """A text inside a longer one is no longer a duplicate."""
+        rng = random.Random(6)
+        whole = adequate(rng, "whole")
+        cut = Sample(id="cut", question=whole.question, answer=whole.answer + " more")
+        corpus = Dataset.from_samples([whole, cut])
+        texts = [sample.combined_text for sample in corpus]
+        assert texts[0] in texts[1] and quadratic_duplicate_ratio(texts) == 0.5
+        assert proxy_components(corpus, OperatorConfig())[2] == 1.0
 
     @pytest.mark.parametrize("workload", ["replicated-2k", "distinct-3k"])
     def test_uniqueness_matches_oracle_on_bench_corpora(self, bench_corpora, workload):
@@ -194,180 +143,22 @@ class TestContainmentScan:
             uniqueness = proxy_components(dataset, OperatorConfig())[2]
             assert uniqueness == 1.0 - quadratic_duplicate_ratio(texts)
 
-
-def record_memos(monkeypatch) -> list[tuple[weakref.ref, int, list[str]]]:
-    """Patch ``ContainmentMemo.add`` to note, for each memo in order of first
-    use, a weak reference to it, how many texts it held when first used, and
-    the texts that entered it."""
-    memos: list[tuple[weakref.ref, int, list[str]]] = []
-    add = ContainmentMemo.add
-
-    def recording(self, texts):
-        record = next((record for record in memos if record[0]() is self), None)
-        if record is None:
-            record = (weakref.ref(self), len(self.holders), [])
-            memos.append(record)
-        before = set(self.holders)
-        add(self, texts)
-        record[2].extend(text for text in self.holders if text not in before)
-
-    monkeypatch.setattr(ContainmentMemo, "add", recording)
-    return memos
-
-
-class TestContainmentMemo:
-    def test_shared_memo_matches_oracle_on_every_call(self):
-        """Calls that share one memo and many of their texts each score what
-        the definition gives for that call's texts alone."""
-        rng = random.Random(2025)
-        for _ in range(300):
-            memo = ContainmentMemo()
-            seen: list[str] = []
-            for _ in range(rng.randint(2, 6)):
-                texts = containment_case(rng) + rng.sample(seen, min(len(seen), rng.randint(0, 10)))
-                rng.shuffle(texts)
-                seen += texts
-                assert _containment_duplicate_ratio(texts, memo) == \
-                    quadratic_duplicate_ratio(texts), texts
-
-    def test_shared_memo_matches_oracle_on_combined_texts(self):
-        """Later calls hold texts of earlier ones and are held by them, so
-        known texts meet new holders and new texts meet known holders."""
-        rng = random.Random(2027)
-        # keyed pairs of one call whose needle is known and holder new, and
-        # whose needle is new and holder known
-        across = Counter()
-        for _ in range(300):
-            memo = ContainmentMemo()
-            seen: list[str] = []
-            for _ in range(rng.randint(2, 6)):
-                texts = combined_case(rng, seen) + rng.sample(seen, min(len(seen), rng.randint(0, 10)))
-                rng.shuffle(texts)
-                known = set(seen)
-                across.update((needle in known, holder in known)
-                              for needle, holder in keyed_containments(texts))
-                seen += texts
-                assert _containment_duplicate_ratio(texts, memo) == \
-                    quadratic_duplicate_ratio(texts), texts
-        assert across[True, False] > 100 and across[False, True] > 100, across
-
-    @pytest.mark.parametrize("holders", [1, 3])
-    def test_few_holders_per_key_match_oracle_on_combined_texts(self, monkeypatch, holders):
-        """With a key allowed to few texts, the texts of one memo split
-        between the index and the scan and meet each other across calls."""
-        monkeypatch.setattr(evaluation, "ANCHOR_HOLDERS", holders)
-        rng = random.Random(2028 + holders)
-        keyed = scanned = 0
-        for _ in range(200):
-            memo = ContainmentMemo()
-            seen: list[str] = []
-            for _ in range(rng.randint(2, 6)):
-                texts = combined_case(rng, seen) + rng.sample(seen, min(len(seen), rng.randint(0, 10)))
-                rng.shuffle(texts)
-                seen += texts
-                assert _containment_duplicate_ratio(texts, memo) == \
-                    quadratic_duplicate_ratio(texts), texts
-            keyed += sum(map(len, memo._keyed.values()))
-            scanned += sum(1 for text in memo._unkeyed if any(evaluation._windows(text)))
-        # premise: both routes take texts that have a window
-        assert keyed > 500 and scanned > 500, (keyed, scanned)
-
-    def test_shared_question_ending_and_answer_opening(self):
-        """Every question ends in one phrase and every answer opens with one,
-        so every text has the same two windows. The first call's texts are
-        keyed by them; once more than ``ANCHOR_HOLDERS`` texts have them,
-        new texts are scanned, and no key is held by more texts than that."""
-        rng = random.Random(2029)
-        ending, opening = " Answer in one word, please.", "The answer is as follows: "
-        memo = ContainmentMemo()
-        seen: list[str] = []
-        for size in (20, 60, 60):
-            texts: list[str] = []
-            for _ in range(size):
-                earlier = seen + texts
-                roll = rng.random()
-                if earlier and roll < 0.2:
-                    # the question alone, up to and with its newline
-                    texts.append(rng.choice(earlier).split("\n")[0] + "\n")
-                elif earlier and roll < 0.4:
-                    whole = [text for text in earlier if not text.endswith("\n")]
-                    texts.append(rng.choice(whole) + " " + make_words(rng, 2))
-                elif earlier and roll < 0.5:
-                    texts.append(rng.choice(earlier))
-                else:
-                    texts.append(make_words(rng, rng.randint(1, 4)) + ending + "\n"
-                                 + opening + make_words(rng, rng.randint(1, 4)))
-            assert _containment_duplicate_ratio(texts, memo) == quadratic_duplicate_ratio(texts)
-            seen += texts
-        assert len({window for text in memo.holders for _, window in evaluation._windows(text)}) == 2
-        assert sum(map(len, memo.holders.values())) > 50  # premise: many containments
-        keys = [len(needles) for needles in memo._keyed.values()]
-        assert sum(keys) > 10 and len(memo._unkeyed) > 60
-        assert max(keys) <= evaluation.ANCHOR_HOLDERS
-
-    def test_key_is_the_window_fewest_texts_have(self):
-        """Questions that share their ending are keyed by their answers'
-        openings, which differ."""
-        texts = [f"question {i} ends: Answer in one word, please.\nanswer {i:03d} is this one"
-                 for i in range(10)]
-        memo = ContainmentMemo()
-        memo.add(texts)
-        width = evaluation.ANCHOR_WIDTH
-        assert sorted(memo._keyed) == sorted(text[text.index("\n"):][: width + 1] for text in texts)
-
-    def test_later_texts_hold_earlier_separators(self):
-        """The first call is joined on ``\\0``, the second on ``\\x01``; later
-        texts hold those characters, alone and inside others. The last call's
-        new texts hold neither, so only the known texts rule both out."""
-        memo = ContainmentMemo()
-        calls = [
-            ["ab", "b", "xab", "b"],
-            ["\0", "a\0b", "ab", "b\0", "xab"],
-            ["\x01", "a\0b\x01", "\0", "b", "\x01\0"],
-            ["\0", "\x01", "xyz", "pqrs", "ab"],
-        ]
-        for texts in calls:
-            assert _containment_duplicate_ratio(texts, memo) == quadratic_duplicate_ratio(texts)
-        assert memo.holders["\0"] and memo.holders["\x01"]
-
-    def test_each_scored_text_enters_the_memo_once_per_run(
-        self, bench_corpora, tmp_path, monkeypatch
-    ):
-        memos = record_memos(monkeypatch)
-        scored: list[list[str]] = []
-        components = evaluation.proxy_components
-
-        def recording(dataset, *args):
-            scored.append([sample.combined_text for sample in dataset])
-            return components(dataset, *args)
-
-        monkeypatch.setattr(evaluation, "proxy_components", recording)
-        save_dataset(bench_corpora["distinct-3k"], tmp_path / "corpus.jsonl")
-        config = {"dataset": str(tmp_path / "corpus.jsonl"), "seed": 0, "sampling_rate": 0.2}
-        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-        args = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "run")]
-        assert cli.main(args) == 0
-        distinct = {text for texts in scored for text in texts if text}
-        # premise: the evaluations share most of their texts
-        assert len(scored) >= 5 and sum(len(set(texts)) for texts in scored) > 2 * len(distinct)
-        entered = Counter(text for _, _, texts in memos for text in texts)
-        assert set(entered) == distinct and set(entered.values()) == {1}
-        assert [held for _, held, _ in memos] == [0]
-
-    def test_memo_lives_one_search_or_one_direct_score(self, tmp_path, monkeypatch):
-        memos = record_memos(monkeypatch)
-        corpus = messy_test_corpus(6)
-        for name in ("first", "second"):
-            cache = StrategyCache(tmp_path / name, OperatorConfig().digest(), seed=0)
-            ctx = ExecutionContext.with_defaults(OperatorConfig(), cache=cache, agent=HillClimbAgent())
-            run_search(corpus, RunConfig(sampling_rate=0.5), ctx)
-        assert len(memos) == 2
-        assert [held for _, held, _ in memos] == [0, 0]
-        memos.clear()
-        proxy_score(corpus)
-        proxy_score(corpus)
-        gc.collect()
-        assert [(ref(), held) for ref, held, _ in memos] == [(None, 0), (None, 0)]
+    @pytest.mark.parametrize("seed", range(4))
+    def test_uniqueness_matches_oracle_on_every_strategy(self, seed):
+        corpus = messy_corpus(seed)
+        ctx = ExecutionContext.with_defaults(OperatorConfig())
+        outputs = {}
+        for f in enumerate_space():
+            output = apply_strategy(f, corpus, ctx)
+            outputs[output.fingerprint] = output
+        uniqueness = {}
+        for key, dataset in outputs.items():
+            if len(dataset) == 0:
+                continue
+            texts = [sample.combined_text for sample in dataset]
+            uniqueness[key] = proxy_components(dataset, OperatorConfig())[2]
+            assert uniqueness[key] == 1.0 - quadratic_duplicate_ratio(texts)
+        assert sum(value < 1.0 for value in uniqueness.values()) >= 10  # premise: copies kept
 
 
 def proxy_ctx(cache=None, run_log=None) -> ExecutionContext:
@@ -415,7 +206,17 @@ class TestEvaluateStrategy:
         events = [r for r in map(json.loads, records) if r["event"] == "evaluation"]
         assert [e["strategy"] for e in events] == ["NONE", "Cleaning"]
         for event in events:
-            assert {"round", "score", "result_fingerprint", "wall_time_s", "cache_hits"} <= set(event)
+            assert {"round", "score", "result_fingerprint", "wall_time_s", "cache_hits",
+                    "score_reused"} <= set(event)
+
+    def test_known_output_is_not_scored_again(self, monkeypatch):
+        corpus = messy_test_corpus(3)
+        ctx = proxy_ctx()
+        scores: dict[str, float] = {}
+        first = evaluate_strategy(EMPTY_STRATEGY, corpus, EvalConfig(), ctx, scores=scores)
+        assert scores == {corpus.fingerprint: first}
+        monkeypatch.setattr(evaluation, "proxy_score", None)  # any call would fail
+        assert evaluate_strategy(EMPTY_STRATEGY, corpus, EvalConfig(), ctx, scores=scores) == first
 
 
 class _StubTrainer(TrainerClient):
@@ -453,6 +254,38 @@ class TestTrainerMode:
         ctx.trainer = _StubTrainer(fail=True)
         with pytest.raises(EvaluationError):
             evaluate_strategy(EMPTY_STRATEGY, clean_corpus(4), self._eval_cfg(), ctx)
+
+    @pytest.mark.parametrize("score", [True, "0.5", None, float("nan"), 1.5],
+                             ids=["bool", "string", "none", "nan", "above-one"])
+    def test_score_not_in_unit_interval_is_evaluation_error(self, score):
+        ctx = proxy_ctx()
+        ctx.trainer = _StubTrainer(score=score)
+        with pytest.raises(EvaluationError, match="not a number in"):
+            evaluate_strategy(EMPTY_STRATEGY, clean_corpus(4), self._eval_cfg(), ctx)
+
+    def test_search_trains_each_distinct_output_once(self, tmp_path):
+        """A dataset file holds exactly the bytes its fingerprint covers, so
+        the trainer sees each output's fingerprint; it is asked about each
+        distinct output once, while every evaluation is still logged."""
+        trained: list[str] = []
+
+        class CountingTrainer(TrainerClient):
+            def evaluate(self, dataset_path, base_model, epochs, validation_set):
+                trained.append(hashlib.sha256(Path(dataset_path).read_bytes()).hexdigest())
+                return proxy_score(load_dataset(dataset_path))
+
+        log = tmp_path / "run_log.jsonl"
+        ctx = ExecutionContext.with_defaults(
+            OperatorConfig(), agent=HillClimbAgent(), run_log=RunLog(log)
+        )
+        ctx.trainer = CountingTrainer()
+        run_search(messy_test_corpus(0), RunConfig(sampling_rate=0.5, evaluation=self._eval_cfg()), ctx)
+        events = [e for e in map(json.loads, log.read_text(encoding="utf-8").splitlines())
+                  if e["event"] == "evaluation"]
+        assert set(Counter(trained).values()) == {1}
+        assert set(trained) == {event["result_fingerprint"] for event in events}
+        reused = [event["score_reused"] for event in events]
+        assert reused.count(False) == len(trained) and reused.count(True) > 0  # premise
 
     def test_missing_trainer_is_error(self):
         ctx = proxy_ctx()
