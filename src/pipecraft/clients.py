@@ -64,10 +64,15 @@ def is_unit_score(value) -> bool:
 class ModelClient(ABC):
     """Text-model client for operator roles: optimizer, generator, scorer.
 
-    Request: a JSON object of named fields, {"role", "mode", sample
-    fields..., "seed"}. Response: {"text": str, "status": "ok"} from the
-    optimizer and the generator, {"score": number in [0, 1], "status": "ok"}
-    from the scorer.
+    Each role gets one request per sample, a JSON object of named fields:
+
+    - optimizer: {"role", "question", "answer", "seed"} ->
+      {"question": str, "answer": str, "status": "ok"}, the rewritten pair;
+    - generator: {"role", "question", "answer", "shots": [{"question",
+      "answer"}...], "seed"} -> {"question": str, "answer": str, "status":
+      "ok"}, the pair with its empty fields filled;
+    - scorer: {"role", "mode": "score", "question", "answer", "seed"} ->
+      {"score": number in [0, 1], "status": "ok"}.
 
     ``complete`` sends each distinct request once and answers a repeat from a
     memo that lives as long as the client, keyed by the request's canonical
@@ -77,7 +82,7 @@ class ModelClient(ABC):
     requests sent, each with up to ``max_retries`` retries; ``reused``
     counts requests answered from the memo; ``failed`` counts requests whose
     every attempt raised or gave a reply without ``status`` ``"ok"`` or
-    without its role's field. Only a reply that passed is stored, so a
+    without its role's fields. Only a reply that passed is stored, so a
     failed request is sent again when it comes again. A repeat gets the
     stored reply object itself, which callers only read.
     """
@@ -114,8 +119,9 @@ class ModelClient(ABC):
 
     def _reply_error(self, response) -> ClientError | None:
         """Why ``response`` cannot be used, or None: it is not an object,
-        its status is not ``"ok"``, or it lacks the field its role's
-        operator reads."""
+        its status is not ``"ok"``, or it lacks a field its role's operator
+        reads (the scorer's ``score``, the others' ``question`` and
+        ``answer``)."""
         if not isinstance(response, dict):
             return ClientError(f"client returned {type(response).__name__}, not an object")
         if response.get("status") != "ok":
@@ -124,8 +130,10 @@ class ModelClient(ABC):
             score = response.get("score")
             if not is_unit_score(score):
                 return ClientError(f"client returned score {score!r}, not a number in [0, 1]")
-        elif not isinstance(response.get("text"), str):
-            return ClientError(f"client returned text {response.get('text')!r}, not a string")
+            return None
+        for name in ("question", "answer"):
+            if not isinstance(response.get(name), str):
+                return ClientError(f"client returned {name} {response.get(name)!r}, not a string")
         return None
 
     @abstractmethod
@@ -140,18 +148,23 @@ def normalize_text(text: str) -> str:
 
 
 class NormalizingOptimizer(ModelClient):
-    """Default optimizer: rewrites a field to its normalized form."""
+    """Default optimizer: rewrites both fields to their normalized forms."""
 
     role = "optimizer"
 
     def _do_complete(self, request: dict) -> dict:
-        return {"text": normalize_text(request["text"]), "status": "ok"}
+        return {
+            "question": normalize_text(request["question"]),
+            "answer": normalize_text(request["answer"]),
+            "status": "ok",
+        }
 
 
 class TemplateGenerator(ModelClient):
-    """Default generator: fills a missing field from a snippet of the present
-    one plus the shot count. Quoting only a snippet keeps the filled sample
-    free of long repeated word sequences."""
+    """Default generator: fills each empty field from a snippet of the other
+    plus the shot count, the question first, so that with both empty the
+    answer quotes the generated question. Quoting only a snippet keeps the
+    filled sample free of long repeated word sequences."""
 
     role = "generator"
     snippet_tokens = 10
@@ -160,21 +173,15 @@ class TemplateGenerator(ModelClient):
         return " ".join(clean_text(text).split()[: self.snippet_tokens])
 
     def _do_complete(self, request: dict) -> dict:
-        mode = request["mode"]
-        shots = request.get("shots", [])
-        if mode == "question":
-            source = self._snippet(request.get("answer", ""))
-            text = (
-                "Considering the reference material, what should be asked about "
-                f"the following topic? {source}"
-            )
-        else:
-            source = self._snippet(request.get("question", ""))
-            text = (
-                f"In response to the question, here is a structured summary "
-                f"derived from {len(shots)} reference examples: {source}"
-            )
-        return {"text": clean_text(text), "status": "ok"}
+        question = request["question"] or clean_text(
+            "Considering the reference material, what should be asked about "
+            f"the following topic? {self._snippet(request['answer'])}"
+        )
+        answer = request["answer"] or clean_text(
+            f"In response to the question, here is a structured summary derived "
+            f"from {len(request['shots'])} reference examples: {self._snippet(question)}"
+        )
+        return {"question": question, "answer": answer, "status": "ok"}
 
 
 class HeuristicScorer(ModelClient):
@@ -269,11 +276,11 @@ class HttpEmbeddingClient(EmbeddingClient):
             except OverflowError:  # an integer beyond float range
                 pass
         if vector is None or not np.isfinite(vector).all():
-            raise ClientError(f"embedding endpoint returned \"vector\" {reprlib.repr(values)}, "
+            raise ClientError(f"{self.endpoint} returned \"vector\" {reprlib.repr(values)}, "
                               "not a vector of finite numbers")
         self.dimension = self.dimension or vector.size
         if vector.size != self.dimension:
-            raise ClientError(f"embedding endpoint returned {vector.size} values, "
+            raise ClientError(f"{self.endpoint} returned {vector.size} values, "
                               f"not the {self.dimension} of its first vector")
         return vector
 
@@ -294,7 +301,7 @@ class HttpScreenerClient(ScreenerClient):
         response = post_json(self.endpoint, {"question": question, "answer": answer})
         label = response.get("label")
         if type(label) is not int or label not in (0, 1):  # not true, false or 1.0
-            raise ClientError(f"screener endpoint returned label {label!r}, not 0 or 1")
+            raise ClientError(f"{self.endpoint} returned label {label!r}, not 0 or 1")
         return label
 
 
@@ -330,7 +337,7 @@ class HttpTrainerClient(TrainerClient):
         )
         score = response.get("score")
         if not is_unit_score(score):
-            raise ClientError(f"trainer returned score {score!r}, not a number in [0, 1]")
+            raise ClientError(f"{self.endpoint} returned score {score!r}, not a number in [0, 1]")
         return float(score)
 
 
@@ -356,5 +363,6 @@ class HttpAgentClient(AgentClient):
         )
         content = response.get("content")
         if not isinstance(content, str):
-            raise ClientError("agent endpoint returned no content")
+            raise ClientError(f"{self.endpoint} returned content {reprlib.repr(content)}, "
+                              "not a string")
         return content

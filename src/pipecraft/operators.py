@@ -8,7 +8,8 @@ they fail open (pass the sample through with a flag) so one bad call cannot
 abort a long search.
 
 Optimization and Generation share one routed pass: every screener-noisy
-sample goes through the team's per-sample operator, and every screener-clean
+sample goes through the team's per-sample operator, which sends at most one
+model request for it, carrying the whole QA pair, and every screener-clean
 sample passes through as the same object, without a model call.
 
 MinHash dedup signs the distinct shingle texts of a pass together, in numpy:
@@ -285,58 +286,57 @@ def apply_cleaning(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
 
 
 def optimize_sample(sample: Sample, client: ModelClient, seed: int = 0) -> Sample:
-    """Replace every non-empty field, question first, with the optimizer's
-    output; ``meta["optimized"]`` names the field, or ``both``. A sample with
-    no text is returned unchanged without any client call. Client failure
-    passes the sample through with an error flag."""
-    updates: dict[str, str] = {}
-    for field_name in ("question", "answer"):
-        text = getattr(sample, field_name)
-        if not text:
-            continue
-        try:
-            response = client.complete(
-                {"role": "optimizer", "mode": field_name, "text": text, "seed": seed}
-            )
-        except ClientError as exc:
-            logger.warning("optimizer failed on %s: %s", sample.id, exc)
-            return sample.with_fields(meta_updates={META_OPTIMIZE_ERROR: str(exc)})
-        updates[field_name] = response["text"]
-    if not updates:
+    """Rewrite the sample in one optimizer request, {"role": "optimizer",
+    "question", "answer", "seed"}: each non-empty field is replaced with the
+    reply's field of the same name, and ``meta["optimized"]`` names the
+    field, or ``both``. A sample with no text is returned unchanged without
+    any client call. Client failure passes the sample through with an error
+    flag."""
+    names = [name for name in ("question", "answer") if getattr(sample, name)]
+    if not names:
         return sample
-    optimized = "both" if len(updates) == 2 else next(iter(updates))
-    return sample.with_fields(**updates, meta_updates={META_OPTIMIZED: optimized})
+    try:
+        response = client.complete(
+            {"role": "optimizer", "question": sample.question, "answer": sample.answer,
+             "seed": seed}
+        )
+    except ClientError as exc:
+        logger.warning("optimizer failed on %s: %s", sample.id, exc)
+        return sample.with_fields(meta_updates={META_OPTIMIZE_ERROR: str(exc)})
+    optimized = "both" if len(names) == 2 else names[0]
+    return sample.with_fields(**{name: response[name] for name in names},
+                              meta_updates={META_OPTIMIZED: optimized})
 
 
 def generate_missing(
     sample: Sample, shots: Sequence[Sample], client: ModelClient, seed: int = 0
 ) -> Sample:
-    """Fill exactly the empty field(s). With both fields empty the question is
-    generated first and the answer is conditioned on it. Samples with nothing
-    missing are returned unchanged without any client call."""
+    """Fill exactly the empty field(s) in one generator request,
+    {"role": "generator", "question", "answer", "shots": [{"question",
+    "answer"}...], "seed"}: each empty field takes the reply's field of the
+    same name. Samples with nothing missing are returned unchanged without
+    any client call."""
     missing = [name for name in ("question", "answer") if not getattr(sample, name)]
     if not missing:
         return sample
     if not shots:
         logger.warning("no shots available to generate fields of %s", sample.id)
         return sample.with_fields(meta_updates={META_GENERATE_ERROR: "no-shots"})
-    fields = {"question": sample.question, "answer": sample.answer}
-    for field_name in missing:  # question first, answer conditioned on it
-        try:
-            response = client.complete(
-                {
-                    "role": "generator",
-                    "mode": field_name,
-                    **fields,
-                    "shots": [{"question": s.question, "answer": s.answer} for s in shots],
-                    "seed": seed,
-                }
-            )
-        except ClientError as exc:
-            logger.warning("generator failed on %s: %s", sample.id, exc)
-            return sample.with_fields(meta_updates={META_GENERATE_ERROR: str(exc)})
-        fields[field_name] = response["text"]
-    return sample.with_fields(**fields, meta_updates={META_GENERATED: ",".join(missing)})
+    try:
+        response = client.complete(
+            {
+                "role": "generator",
+                "question": sample.question,
+                "answer": sample.answer,
+                "shots": [{"question": s.question, "answer": s.answer} for s in shots],
+                "seed": seed,
+            }
+        )
+    except ClientError as exc:
+        logger.warning("generator failed on %s: %s", sample.id, exc)
+        return sample.with_fields(meta_updates={META_GENERATE_ERROR: str(exc)})
+    return sample.with_fields(**{name: response[name] for name in missing},
+                              meta_updates={META_GENERATED: ",".join(missing)})
 
 
 def select_high_quality(

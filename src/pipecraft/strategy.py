@@ -117,8 +117,10 @@ def parse_strategy(text: str) -> Strategy:
 # Revision of the operators' implementation. Bump it whenever a team's output
 # can change for the same config and seed, so that a cache filled by older code
 # misses instead of serving results a recompute would no longer produce. Keys
-# before revision 2 (one-permutation MinHash) carried no revision.
-OPERATOR_REVISION = 2
+# before revision 2 (one-permutation MinHash) carried no revision; revision 3
+# sends one optimizer or generator request per sample, whole QA pair in and
+# out, so a custom or remote model client sees different requests.
+OPERATOR_REVISION = 3
 
 
 def strategy_key(strategy: Strategy, config_digest: str, seed: int) -> str:

@@ -564,8 +564,9 @@ class TestBadResponseBody:
                                     body, role, command, code, prefix):
         monkeypatch.setattr(urllib.request, "urlopen",
                             lambda request, timeout: CannedResponse(body))
-        self.assert_ends_cleanly(tmp_path, corpus_path, capsys, caplog, monkeypatch,
-                                 role, command, code, prefix)
+        report = self.assert_ends_cleanly(tmp_path, corpus_path, capsys, caplog, monkeypatch,
+                                          role, command, code, prefix)
+        assert f"http://{role}.test/endpoint" in report
 
     @pytest.mark.parametrize("endpoint", ["notaurl", "http://agent.test:port/complete"],
                              ids=["no-scheme", "bad-port"])

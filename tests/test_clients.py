@@ -28,7 +28,8 @@ from pipecraft.clients import (
 )
 from pipecraft.config import (ENV_AGENT_ENDPOINT, ENV_CACHE_ROOT, ENV_EMBEDDER_ENDPOINT,
                               ENV_SCREENER_ENDPOINT, ENV_TRAINER_ENDPOINT)
-from pipecraft.corpus import canonical_json, save_dataset
+from pipecraft.corpus import Sample, canonical_json, save_dataset
+from pipecraft.operators import generate_missing, optimize_sample
 from pipecraft.synthetic import messy_corpus
 from pipecraft.textstats import clean_text, clear_run_memos, is_allowed_char
 from tests.conftest import bench_corpora_module, copies_corpus, random_unicode, window_hash_int
@@ -40,11 +41,14 @@ from tests.scripted_clients import (
 )
 
 
+OPTIMIZER_REQUEST = {"role": "optimizer", "question": "x", "answer": "y", "seed": 0}
+
+
 class FlakyClient(ScriptedModelClient):
     """Fails a fixed number of times before succeeding."""
 
     def __init__(self, failures: int):
-        super().__init__("optimizer", lambda req: {"text": "ok", "status": "ok"})
+        super().__init__("optimizer", lambda req: dict(req, status="ok"))
         self.failures = failures
         self.attempts = 0
 
@@ -58,14 +62,14 @@ class FlakyClient(ScriptedModelClient):
 class TestRetry:
     def test_succeeds_after_two_failures(self):
         client = FlakyClient(failures=2)
-        response = client.complete({"role": "optimizer", "mode": "question", "text": "x"})
-        assert response["text"] == "ok"
+        response = client.complete(OPTIMIZER_REQUEST)
+        assert response["question"] == "x"
         assert client.attempts == 3
 
     def test_gives_up_after_retries_exhausted(self):
         client = FlakyClient(failures=10)
         with pytest.raises(ClientError):
-            client.complete({"role": "optimizer", "mode": "question", "text": "x"})
+            client.complete(OPTIMIZER_REQUEST)
         assert client.attempts == 3  # initial try + two retries
 
     def test_bad_status_is_failure(self):
@@ -78,10 +82,11 @@ class TestReplyMemo:
     """``complete`` sends each distinct request once per client and answers a
     repeat from its memo; only a reply that passed its checks is stored."""
 
-    REQUEST = {"role": "generator", "mode": "answer", "question": "q", "answer": "",
+    REQUEST = {"role": "generator", "question": "q", "answer": "",
                "shots": [{"question": "sq", "answer": "sa"}], "seed": 3}
+    REPLY = {"question": "q", "answer": "t", "status": "ok"}
 
-    def recording(self, role="generator", reply=lambda req: {"text": "t", "status": "ok"}):
+    def recording(self, role="generator", reply=lambda req: TestReplyMemo.REPLY):
         sent = []
 
         def fn(request):
@@ -94,15 +99,15 @@ class TestReplyMemo:
         client, sent = self.recording()
         first = client.complete(dict(self.REQUEST))
         again = client.complete(dict(self.REQUEST))
-        assert again == first == {"text": "t", "status": "ok"}
+        assert again == first == self.REPLY
         assert sent == [self.REQUEST]
         assert (client.calls, client.reused, client.failed) == (1, 1, 0)
 
     @pytest.mark.parametrize("field, value", [
-        ("seed", 4), ("seed", 3.0), ("seed", True), ("mode", "question"),
+        ("seed", 4), ("seed", 3.0), ("seed", True), ("answer", "a"),
         ("shots", []), ("shots", [{"question": "sq", "answer": "sb"}]),
         ("shots", [{"question": "sq", "answer": "sa"}] * 2),
-    ], ids=["seed", "seed-float", "seed-bool", "mode", "no-shots", "other-shot",
+    ], ids=["seed", "seed-float", "seed-bool", "answer", "no-shots", "other-shot",
             "more-shots"])
     def test_request_differing_in_one_field_is_sent(self, field, value):
         client, sent = self.recording()
@@ -112,11 +117,11 @@ class TestReplyMemo:
         assert (client.calls, client.reused) == (2, 0)
 
     @pytest.mark.parametrize("bad_reply", [
-        {"status": "overloaded", "text": "t"}, {"status": "ok"}, RuntimeError("down"),
+        {**REPLY, "status": "overloaded"}, {"status": "ok"}, RuntimeError("down"),
     ], ids=["status", "no-text", "raises"])
     def test_failed_request_is_sent_again_and_can_succeed(self, bad_reply):
         replies = [bad_reply] * (ScriptedModelClient.max_retries + 1)
-        replies.append({"text": "t", "status": "ok"})
+        replies.append(self.REPLY)
 
         def reply(request):
             answer = replies.pop(0)
@@ -128,16 +133,15 @@ class TestReplyMemo:
         with pytest.raises(ClientError):
             client.complete(self.REQUEST)
         assert (client.calls, client.reused, client.failed) == (1, 0, 1)
-        assert client.complete(self.REQUEST) == {"text": "t", "status": "ok"}
-        assert client.complete(self.REQUEST) == {"text": "t", "status": "ok"}
+        assert client.complete(self.REQUEST) == self.REPLY
+        assert client.complete(self.REQUEST) == self.REPLY
         assert len(sent) == ScriptedModelClient.max_retries + 2
         assert (client.calls, client.reused, client.failed) == (2, 1, 1)
 
     def test_retried_success_is_stored(self):
         client = FlakyClient(failures=2)
-        request = {"role": "optimizer", "mode": "question", "text": "x"}
-        client.complete(request)
-        client.complete(request)
+        client.complete(OPTIMIZER_REQUEST)
+        client.complete(OPTIMIZER_REQUEST)
         assert client.attempts == 3
         assert (client.calls, client.reused, client.failed) == (1, 1, 0)
 
@@ -254,46 +258,46 @@ def test_no_request_reaches_a_model_twice_in_a_run(tmp_path, monkeypatch, capsys
 class TestDefaults:
     def test_normalizing_optimizer(self):
         client = NormalizingOptimizer()
-        out = client.complete(
-            {"role": "optimizer", "mode": "answer", "text": "  spaced <b>out</b>  ## "}
-        )
-        assert out["text"] == "spaced out"
+        out = client.complete({"role": "optimizer", "question": "<i>why</i> ## ?",
+                               "answer": "  spaced <b>out</b>  ## ", "seed": 0})
+        assert out == {"question": "why ?", "answer": "spaced out", "status": "ok"}
 
     def test_normalize_text_drops_disallowed(self):
         assert normalize_text("abc ### def") == "abc def"
         assert normalize_text("fine, text!") == "fine, text!"
 
     def test_template_generator_modes(self):
+        """Each empty field is filled and each present one echoed; with both
+        empty, the answer quotes the question written first."""
         client = TemplateGenerator()
         answer_out = client.complete(
             {
                 "role": "generator",
-                "mode": "answer",
                 "question": "what about fevers",
                 "answer": "",
                 "shots": [{"question": "q", "answer": "a"}],
             }
         )
-        assert "what about fevers" in answer_out["text"]
+        assert answer_out["question"] == "what about fevers"
+        assert "1 reference examples: what about fevers" in answer_out["answer"]
         question_out = client.complete(
-            {
-                "role": "generator",
-                "mode": "question",
-                "question": "",
-                "answer": "rest and fluids",
-                "shots": [],
-            }
+            {"role": "generator", "question": "", "answer": "rest and fluids", "shots": []}
         )
-        assert "rest and fluids" in question_out["text"]
+        assert "rest and fluids" in question_out["question"]
+        assert question_out["answer"] == "rest and fluids"
+        both_out = client.complete({"role": "generator", "question": "", "answer": "",
+                                    "shots": []})
+        assert both_out["question"].startswith("Considering the reference material")
+        assert both_out["answer"].endswith(
+            " ".join(both_out["question"].split()[:TemplateGenerator.snippet_tokens]))
 
     def test_generator_snippets_long_fields(self):
         client = TemplateGenerator()
         long_question = "word " * 100
         out = client.complete(
-            {"role": "generator", "mode": "answer", "question": long_question,
-             "answer": "", "shots": []}
+            {"role": "generator", "question": long_question, "answer": "", "shots": []}
         )
-        assert len(out["text"].split()) < 40
+        assert len(out["answer"].split()) < 40
 
     def test_heuristic_scorer_range_and_order(self):
         scorer = HeuristicScorer()
@@ -411,15 +415,24 @@ class TestWireContracts:
         return seen
 
     def test_model_client(self, monkeypatch):
-        seen = self._capture(monkeypatch, {"text": "better", "status": "ok"})
+        """The operator's one request per sample is the body posted, and the
+        reply's ``question`` and ``answer`` are what the sample takes."""
+        seen = self._capture(monkeypatch,
+                             {"question": "better q", "answer": "better a", "status": "ok"})
         client = HttpModelClient("optimizer", "http://svc/optimize")
-        out = client.complete(
-            {"role": "optimizer", "mode": "question", "text": "raw", "seed": 3}
-        )
-        assert out["text"] == "better"
-        assert seen["payload"] == {
-            "role": "optimizer", "mode": "question", "text": "raw", "seed": 3
-        }
+        out = optimize_sample(Sample(id="x", question="raw q", answer="raw a"), client, seed=3)
+        assert (out.question, out.answer) == ("better q", "better a")
+        assert seen == {"endpoint": "http://svc/optimize", "payload": {
+            "role": "optimizer", "question": "raw q", "answer": "raw a", "seed": 3}}
+
+    def test_generator_model_client(self, monkeypatch):
+        seen = self._capture(monkeypatch, {"question": "q", "answer": "filled", "status": "ok"})
+        client = HttpModelClient("generator", "http://svc/generate")
+        shots = [Sample(id="s", question="sq", answer="sa")]
+        out = generate_missing(Sample(id="x", question="q", answer=""), shots, client, seed=3)
+        assert out.answer == "filled"
+        assert seen["payload"] == {"role": "generator", "question": "q", "answer": "",
+                                   "shots": [{"question": "sq", "answer": "sa"}], "seed": 3}
 
     def test_embedding_client(self, monkeypatch):
         seen = self._capture(monkeypatch, {"vector": [1.0, 2.0, 3.0]})

@@ -578,17 +578,19 @@ class TestApplyCleaning:
         assert len(apply_cleaning(Dataset.from_samples(()), cfg)) == 0
 
 
+def trim(req: dict) -> dict:
+    return {"question": req["question"].strip(), "answer": req["answer"].strip(), "status": "ok"}
+
+
 def trim_optimizer() -> ScriptedModelClient:
-    return ScriptedModelClient(
-        "optimizer", lambda req: {"text": req["text"].strip(), "status": "ok"}
-    )
+    return ScriptedModelClient("optimizer", trim)
 
 
 def template_generator() -> ScriptedModelClient:
     def fn(req):
-        if req["mode"] == "answer":
-            return {"text": f"ANSWER({req['question']})", "status": "ok"}
-        return {"text": f"QUESTION({req['answer']})", "status": "ok"}
+        question = req["question"] or f"QUESTION({req['answer']})"
+        answer = req["answer"] or f"ANSWER({question})"
+        return {"question": question, "answer": answer, "status": "ok"}
 
     return ScriptedModelClient("generator", fn)
 
@@ -596,7 +598,7 @@ def template_generator() -> ScriptedModelClient:
 def recording_trim_optimizer(requests: list[dict]) -> ScriptedModelClient:
     def fn(req):
         requests.append(dict(req))
-        return {"text": req["text"].strip(), "status": "ok"}
+        return trim(req)
 
     return ScriptedModelClient("optimizer", fn)
 
@@ -608,18 +610,23 @@ class TestOptimizeSample:
         ids=["both", "question-only", "answer-only"],
     )
     def test_rewrites_every_non_empty_field_question_first(self, question, answer, optimized):
+        """One request carries the whole pair; each non-empty field takes
+        the reply's field of the same name."""
         requests: list[dict] = []
         sample = Sample(id="x", question=question, answer=answer)
         out = optimize_sample(sample, recording_trim_optimizer(requests), seed=5)
-        expected = [
-            {"role": "optimizer", "mode": name, "text": text, "seed": 5}
-            for name, text in (("question", question), ("answer", answer))
-            if text
-        ]
-        assert requests == expected
-        assert all(list(req) == ["role", "mode", "text", "seed"] for req in requests)
+        assert requests == [{"role": "optimizer", "question": question, "answer": answer,
+                             "seed": 5}]
+        assert list(requests[0]) == ["role", "question", "answer", "seed"]
         assert (out.question, out.answer) == (question.strip(), answer.strip())
         assert out.meta == {"optimized": optimized}
+
+    def test_empty_field_keeps_its_value_whatever_the_reply(self):
+        client = ScriptedModelClient(
+            "optimizer", lambda req: {"question": "Q", "answer": "invented", "status": "ok"})
+        out = optimize_sample(Sample(id="x", question="q", answer=""), client)
+        assert (out.question, out.answer) == ("Q", "")
+        assert out.meta == {"optimized": "question"}
 
     def test_sample_without_text_makes_no_call(self):
         client = trim_optimizer()
@@ -635,6 +642,19 @@ class TestOptimizeSample:
         assert out.answer == sample.answer
         assert "optimize_error" in out.meta
         assert "optimized" not in out.meta
+
+    def test_same_pair_under_different_ids_is_sent_once(self):
+        client = trim_optimizer()
+        one = optimize_sample(Sample(id="a", question=" q ", answer=" a "), client)
+        two = optimize_sample(Sample(id="b", question=" q ", answer=" a "), client)
+        assert (one.question, one.answer) == (two.question, two.answer) == ("q", "a")
+        assert (client.calls, client.reused) == (1, 1)
+
+    def test_shared_question_alone_is_sent_twice(self):
+        client = trim_optimizer()
+        optimize_sample(Sample(id="a", question=" q ", answer=" a "), client)
+        optimize_sample(Sample(id="b", question=" q ", answer=" b "), client)
+        assert (client.calls, client.reused) == (2, 0)
 
 
 class TestGenerateMissing:
@@ -656,6 +676,29 @@ class TestGenerateMissing:
         out = generate_missing(Sample(id="x", question="", answer=""), shots, template_generator())
         assert out.question == "QUESTION()"
         assert out.answer == "ANSWER(QUESTION())"
+        assert out.meta["generated"] == "question,answer"
+
+    def test_both_missing_sends_one_request(self):
+        requests: list[dict] = []
+
+        def fn(req):
+            requests.append(req)
+            return {"question": "Q", "answer": "A", "status": "ok"}
+
+        shots = [Sample(id="shot", question="sq", answer="sa")]
+        client = ScriptedModelClient("generator", fn)
+        out = generate_missing(Sample(id="x", question="", answer=""), shots, client, seed=2)
+        assert (out.question, out.answer) == ("Q", "A")
+        assert requests == [{"role": "generator", "question": "", "answer": "",
+                             "shots": [{"question": "sq", "answer": "sa"}], "seed": 2}]
+        assert client.calls == 1
+
+    def test_present_field_keeps_its_value_whatever_the_reply(self):
+        client = ScriptedModelClient(
+            "generator", lambda req: {"question": "rewritten", "answer": "A", "status": "ok"})
+        shots = [Sample(id="shot", question="sq", answer="sa")]
+        out = generate_missing(Sample(id="x", question="q", answer=""), shots, client)
+        assert (out.question, out.answer) == ("q", "A")
 
     def test_no_shots_flags_and_passes_through(self):
         client = template_generator()
@@ -736,11 +779,20 @@ class TestRepliesWithoutTheirField:
     failure, so each operator fails open as it does for a client error."""
 
     @pytest.mark.parametrize("reply, message", [
-        ({"status": "ok"}, "not a string"), ({"text": None, "status": "ok"}, "not a string"),
-        ({"text": ["t"], "status": "ok"}, "not a string"),
-        ({"score": 0.5, "status": "ok"}, "not a string"), (["t"], "not an object"),
-    ], ids=["no-field", "null", "list", "score-only", "not-an-object"])
+        ({"status": "ok"}, "question None, not a string"),
+        ({"question": None, "answer": "a", "status": "ok"}, "question None, not a string"),
+        ({"question": ["t"], "answer": "a", "status": "ok"}, "question ['t'], not a string"),
+        ({"score": 0.5, "status": "ok"}, "question None, not a string"),
+        (["t"], "not an object"),
+        ({"question": "q", "status": "ok"}, "answer None, not a string"),
+        ({"answer": "a", "status": "ok"}, "question None, not a string"),
+        ({"question": "q", "answer": 5, "status": "ok"}, "answer 5, not a string"),
+        ({"text": "t", "status": "ok"}, "question None, not a string"),
+    ], ids=["no-field", "null", "list", "score-only", "not-an-object", "question-only",
+            "answer-only", "int-answer", "text-only"])
     def test_optimizer_and_generator_need_text(self, reply, message):
+        """Each reply must carry ``question`` and ``answer`` as strings, even
+        the field the operator does not take."""
         sample = Sample(id="x", question="q text", answer="")
         shots = [Sample(id="s", question="sq", answer="sa")]
         optimizer = ScriptedModelClient("optimizer", lambda req: reply)
@@ -750,6 +802,7 @@ class TestRepliesWithoutTheirField:
         assert message in optimized.meta["optimize_error"]
         assert message in generated.meta["generate_error"]
         assert (optimized.question, generated.answer) == ("q text", "")
+        assert "optimized" not in optimized.meta and "generated" not in generated.meta
         assert (optimizer.calls, optimizer.failed) == (generator.calls, generator.failed) == (1, 1)
 
     @pytest.mark.parametrize("score", [float("nan"), 1.5, -0.1, True, "0.5", None, [0.5]],
@@ -822,9 +875,9 @@ class TestApplyTeam:
             for sample_in, sample_out in zip(corpus, out):
                 if sample_in.id in clean_ids:
                     assert sample_out == sample_in  # byte-identical fields and meta
-            # calls were made only for noisy samples
+            # one call for each noisy sample, none for a clean one
             calls = ctx.optimizer.calls + ctx.generator.calls - before
-            assert calls <= len(noisies) * 2
+            assert calls <= len(noisies)
             if team is Team.GENERATION:
                 assert ctx.generator.calls == 1  # only n0 has a missing field
 
@@ -859,13 +912,39 @@ class TestApplyTeam:
         corpus = Dataset.from_samples([clean_sample("c", rng), markup, missing])
         ctx = ExecutionContext.with_defaults(
             seed=7,
-            optimizer=recording("optimizer", lambda req: {"text": req["text"], "status": "ok"}),
-            generator=recording("generator", lambda req: {"text": "filled", "status": "ok"}),
+            optimizer=recording("optimizer", trim),
+            generator=recording("generator", lambda req: {"question": req["question"],
+                                                          "answer": "filled", "status": "ok"}),
             scorer=recording("scorer", lambda req: {"score": 0.5, "status": "ok"}),
         )
         apply_strategy(Strategy((Team.OPTIMIZATION, Team.GENERATION, Team.SELECTION)), corpus, ctx)
         assert {req["role"] for req in requests} == {"optimizer", "generator", "scorer"}
         assert [req["seed"] for req in requests] == [7] * len(requests)
+
+
+class TestOneRequestPerSample:
+    """Optimization sends one request per distinct QA pair among the
+    screener-noisy samples with text, and its output is what the two
+    requests per sample of the earlier wire contract gave."""
+
+    # Optimization's output fingerprint on messy_corpus(seed), pinned when
+    # each field was still sent as its own request
+    FINGERPRINTS = {
+        0: "f684478577ccd98defa750439a52197a01d0c8cd649881073904d25bc86dc1e5",
+        1: "47897ea1ad5d7b6c3d233e7fa5a86eb06e99127e187fb5e5efc0e3a9d4f6938f",
+        2: "4f63528e8788306e340637364a9f17c3b8e643bf9b0f9c894d7992772b734237",
+        3: "0d03114d36825b19a4370726d0559c85b680d5ee9afdedb9544cad93626a9665",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FINGERPRINTS))
+    def test_optimizer_calls_count_distinct_noisy_pairs(self, seed):
+        corpus = messy_corpus(seed)
+        ctx = make_ctx()
+        out = apply_team(Team.OPTIMIZATION, corpus, ctx)
+        pairs = {(s.question, s.answer) for s in corpus
+                 if ctx.screener.classify(s).is_noisy and (s.question or s.answer)}
+        assert ctx.optimizer.calls == len(pairs)
+        assert out.fingerprint == self.FINGERPRINTS[seed]
 
 
 class TestOrderAndDeterminism:
