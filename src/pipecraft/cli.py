@@ -29,7 +29,7 @@ from .sampling import EmbeddingError, stratified_sample
 from .screener import Screener
 from .strategy import StrategyParseError, enumerate_space, parse_strategy
 from .textstats import clear_run_memos
-from .timing import PhaseTimer
+from .timing import NULL_TIMER, PhaseTimer
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -42,16 +42,15 @@ def build_context(
     run_cfg: RunConfig,
     cache: StrategyCache | None = None,
     run_log: RunLog | None = None,
-    timer: PhaseTimer | None = None,
+    timer: PhaseTimer = NULL_TIMER,
 ) -> ExecutionContext:
     """Wire clients from configured endpoints; anything unset keeps the
     deterministic default of ``ExecutionContext.with_defaults``."""
-    timer = timer or PhaseTimer()
     endpoints = run_cfg.endpoints
     remote = {}
     if endpoints.screener:
         client = HttpScreenerClient(endpoints.screener)
-        remote["screener"] = Screener(run_cfg.operators, client=client, timer=timer)
+        remote["screener"] = Screener(run_cfg.operators, client=client)
     if endpoints.embedder:
         remote["embedder"] = HttpEmbeddingClient(endpoints.embedder)
     if endpoints.trainer:

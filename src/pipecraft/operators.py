@@ -18,9 +18,13 @@ a shingle is a window of code points, hashed by
 one-permutation hashing with optimal densification (Li, Owen & Zhang 2012;
 Shrivastava 2017) spreads each text's window hashes over
 ``num_permutations`` bins. Identical texts share a signature and are always
-duplicates of each other. Clusters are formed over the distinct texts: one
-union-find joins the near-duplicate pairs of texts, and each cluster keeps
-the earliest sample of its texts, so no pair of copies is ever built.
+duplicates of each other. LSH bands the signatures with one sort: each band
+of each text gets a 64-bit digest, and only text-bands whose digest repeats
+are grouped, in Python, by their exact band row; candidates then pass a
+signature-estimated Jaccard check. Clusters are formed over the distinct
+texts: one union-find joins the near-duplicate pairs of texts, and each
+cluster keeps the earliest sample of its texts, so no pair of copies is
+ever built.
 
 A change that can alter any team's output for the same config and seed must
 bump :data:`pipecraft.strategy.OPERATOR_REVISION`, which cache keys bind.
@@ -122,14 +126,15 @@ def _window_hashes(texts: list[str], windows: np.ndarray, shingle_size: int) -> 
 def minhash_signature(texts: Sequence[str], cfg: MinhashConfig) -> np.ndarray:
     """One-permutation MinHash signatures, one row per text.
 
-    Each shingle window's hash picks one of ``K = cfg.num_permutations`` bins
-    (``hash % K``) and competes for that bin's minimum with ``hash // K``. A
-    bin no window reached borrows the value of the first filled bin in its
-    seeded candidate order (optimal densification), so every bin of every
-    non-empty text is filled. An empty text has no shingles and gets the
-    sentinel row, so two empty texts still hash identically. The texts are
-    hashed a block of whole texts at a time (see :func:`_blocks`), and the
-    whole matrix is densified at once.
+    Each shingle window's hash ``h`` picks one of ``K = cfg.num_permutations``
+    bins and competes for that bin's minimum with ``q = h // K``; the bin,
+    ``h - q * K``, is taken from the quotient, which equals ``h % K`` and
+    spares a second 64-bit division. A bin no window reached borrows the
+    value of the first filled bin in its seeded candidate order (optimal
+    densification), so every bin of every non-empty text is filled. An empty
+    text has no shingles and gets the sentinel row, so two empty texts still
+    hash identically. The texts are hashed a block of whole texts at a time
+    (see :func:`_blocks`), and the whole matrix is densified at once.
     """
     num_bins = cfg.num_permutations
     bins = np.uint64(num_bins)
@@ -139,9 +144,10 @@ def minhash_signature(texts: Sequence[str], cfg: MinhashConfig) -> np.ndarray:
         hashes = _window_hashes([texts[row] for row in rows], counts, cfg.shingle_size)
         # each window's cell in the flattened signature matrix
         cells = np.repeat(np.asarray(rows, dtype=np.intp) * num_bins, counts)
-        np.add(cells, hashes % bins, out=cells, casting="unsafe")
-        hashes //= bins
-        np.minimum.at(signatures.reshape(-1), cells, hashes)
+        quotients = hashes // bins
+        hashes -= quotients * bins  # the bin, hash % K, from the quotient
+        np.add(cells, hashes, out=cells, casting="unsafe")
+        np.minimum.at(signatures.reshape(-1), cells, quotients)
     _densify(signatures, _densify_candidates(num_bins))
     return signatures
 
@@ -163,6 +169,19 @@ def _densify(signatures: np.ndarray, candidates: np.ndarray) -> None:
         rows, holes = rows[~found], holes[~found]
 
 
+def _band_digests(signatures: np.ndarray, mcfg: MinhashConfig) -> np.ndarray:
+    """One 64-bit digest per (text, band), shape ``(texts, bands)``: a
+    splitmix64 chain over the band's ``rows_per_band`` values, seeded by the
+    band index. Equal band rows have equal digests; equal digests are only
+    likely to mean equal rows, so callers confirm on the rows themselves."""
+    rows = signatures.reshape(len(signatures), mcfg.bands, mcfg.rows_per_band)
+    digests = np.tile(np.arange(mcfg.bands, dtype=np.uint64), (len(signatures), 1))
+    for column in range(mcfg.rows_per_band):
+        digests ^= rows[:, :, column]
+        textstats._mix64(digests)
+    return digests
+
+
 def _near_duplicate_texts(
     dataset: Dataset, cfg: OperatorConfig
 ) -> tuple[list[list[int]], list[tuple[int, int]]]:
@@ -170,8 +189,10 @@ def _near_duplicate_texts(
     whose shingle text is the ``g``-th distinct one to appear, and ``near``
     the group pairs ``(g, h)``, ``g < h``, judged near-duplicates: LSH band
     collision, then a signature-estimated Jaccard check. Each text is signed
-    once and only the distinct texts are banded, one band at a time, in
-    numpy, so only texts that share a band key with another reach Python.
+    once and only the distinct texts are banded. Every band of every text is
+    digested (:func:`_band_digests`) and the digests are sorted once; only
+    the text-bands whose digest repeats reach Python, where they are grouped
+    by band and exact band row, so a candidate pair shares a band key.
     """
     mcfg = cfg.minhash
     groups: dict[str, list[int]] = defaultdict(list)
@@ -180,19 +201,23 @@ def _near_duplicate_texts(
     members = list(groups.values())
     signatures = minhash_signature(list(groups), mcfg)
     del groups  # the texts are not needed for banding
+    digests = _band_digests(signatures, mcfg).ravel()
+    order = np.argsort(digests)
+    ordered = digests[order]
+    same = ordered[1:] == ordered[:-1]
+    repeats = np.zeros(len(ordered), dtype=bool)
+    repeats[1:] = same
+    repeats[:-1] |= same
+    # flat index text * bands + band, ascending: each key lists its texts in order
+    keys: dict[tuple[int, bytes], list[int]] = defaultdict(list)
+    band_rows = signatures.reshape(len(signatures), mcfg.bands, mcfg.rows_per_band)
+    for flat in np.sort(order[repeats]).tolist():
+        text, band = divmod(flat, mcfg.bands)
+        keys[band, band_rows[text, band].tobytes()].append(text)
     candidates: set[tuple[int, int]] = set()
-    key_type = np.dtype((np.void, signatures.itemsize * mcfg.rows_per_band))
-    for band in range(mcfg.bands):
-        rows = signatures[:, band * mcfg.rows_per_band : (band + 1) * mcfg.rows_per_band]
-        keys = np.ascontiguousarray(rows).view(key_type).ravel()
-        _, key_of, counts = np.unique(keys, return_inverse=True, return_counts=True)
-        shared = np.flatnonzero(counts[key_of] > 1)
-        # by key, then by text id: a stable sort keeps ids ascending in each key
-        shared = shared[np.argsort(key_of[shared], kind="stable")]
-        for gids in np.split(shared, np.cumsum(counts[counts > 1])[:-1]):
-            gids = gids.tolist()
-            for pos, g in enumerate(gids):
-                candidates.update((g, h) for h in gids[pos + 1 :])
+    for gids in keys.values():
+        for pos, g in enumerate(gids):
+            candidates.update((g, h) for h in gids[pos + 1 :])
     near = [(g, h) for g, h in candidates
             if np.mean(signatures[g] == signatures[h]) >= mcfg.jaccard_threshold]
     return members, near
@@ -405,7 +430,7 @@ class ExecutionContext:
         cfg = cfg or OperatorConfig()
         kwargs = dict(
             cfg=cfg,
-            screener=Screener(cfg, timer=timer),
+            screener=Screener(cfg),
             optimizer=NormalizingOptimizer(),
             generator=TemplateGenerator(),
             scorer=HeuristicScorer(cfg),
@@ -441,7 +466,8 @@ def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
         return apply_cleaning(dataset, ctx.cfg)
     if team is Team.SELECTION:
         return select_high_quality(dataset, ctx.scorer, ctx.cfg.selection_keep_fraction, ctx.seed)
-    noisy = [ctx.screener.classify(sample).is_noisy for sample in dataset]
+    with ctx.timer.phase("screening"):
+        noisy = [ctx.screener.classify(sample).is_noisy for sample in dataset]
     if team is Team.OPTIMIZATION:
         process = partial(optimize_sample, client=ctx.optimizer, seed=ctx.seed)
     else:  # Team.GENERATION

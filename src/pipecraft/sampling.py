@@ -128,7 +128,8 @@ def stratified_sample(
     with timer.phase("sampling"):
         if rate == 1.0 or len(dataset) == 0:
             return dataset
-        noisy_flags = [screener.classify(sample).is_noisy for sample in dataset]
+        with timer.phase("screening"):
+            noisy_flags = [screener.classify(sample).is_noisy for sample in dataset]
         clean_indices = [i for i, flag in enumerate(noisy_flags) if not flag]
         noisy_indices = [i for i, flag in enumerate(noisy_flags) if flag]
         take_clean, take_noisy = stratum_counts(

@@ -15,7 +15,6 @@ from .clients import ScreenerClient
 from .config import OperatorConfig
 from .corpus import Dataset, Sample
 from .textstats import clean_text, text_profile, violations
-from .timing import NULL_TIMER, PhaseTimer
 
 logger = logging.getLogger(__name__)
 
@@ -74,17 +73,19 @@ class Screener:
     ``REMOTE_FAILURE_LIMIT`` failures in a row, a success resetting the
     count, the remote classifier is not called again: every later miss is a
     fallback, so a dead endpoint costs a run at most that many timeouts.
+
+    The screener keeps no time: a routing pass that classifies a dataset
+    times its whole verdict loop, memo hits included, as the ``screening``
+    phase.
     """
 
     def __init__(
         self,
         cfg: OperatorConfig | None = None,
         client: ScreenerClient | None = None,
-        timer: PhaseTimer = NULL_TIMER,
     ) -> None:
         self.cfg = cfg or OperatorConfig()
         self.client = client
-        self.timer = timer
         self._cache: dict[tuple[str, str], ScreenerVerdict] = {}
         self.classify_calls = 0
         self.remote_fallbacks = 0
@@ -95,9 +96,8 @@ class Screener:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        with self.timer.phase("screening"):
-            self.classify_calls += 1
-            verdict = self._classify_uncached(sample)
+        self.classify_calls += 1
+        verdict = self._classify_uncached(sample)
         self._cache[key] = verdict
         return verdict
 

@@ -178,7 +178,10 @@ class TestRun:
         # phase accounting: exclusive phase times sum to at most the total
         timings = json.loads((run_dir / "timings.json").read_text())
         assert sum(timings["phases"].values()) <= timings["total"] + 1e-6
-        assert {"sampling", "processing", "evaluation"} <= set(timings["phases"])
+        assert {"sampling", "screening", "processing", "evaluation"} <= set(timings["phases"])
+        (requests,) = [r for r in log_lines if r["event"] == "model-requests"]
+        assert requests["screener"]["classified"] > 0  # premise: the screener has misses
+        assert timings["phases"]["screening"] > 0
         # report matches the cache counters and final dataset on disk
         final = load_dataset(run_dir / "final_dataset.jsonl")
         assert report["final_dataset_fingerprint"] == final.fingerprint

@@ -128,6 +128,12 @@ class TestDedup:
 def oracle_dedup(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
     """Sample-level reference for ``minhash_dedup``: union-find over every
     duplicate sample pair, keeping the smallest index of each component."""
+    return dedup_by_pairs(dataset, duplicate_pairs(dataset, cfg))
+
+
+def dedup_by_pairs(dataset: Dataset, pairs: set[tuple[int, int]]) -> Dataset:
+    """The samples left when each component of the sample ``pairs`` keeps
+    only its smallest index."""
     parent = list(range(len(dataset)))
 
     def find(x: int) -> int:
@@ -135,7 +141,7 @@ def oracle_dedup(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
             x = parent[x]
         return x
 
-    for i, j in duplicate_pairs(dataset, cfg):
+    for i, j in pairs:
         ri, rj = find(i), find(j)
         parent[max(ri, rj)] = min(ri, rj)
     return Dataset.from_samples(s for idx, s in enumerate(dataset) if find(idx) == idx)
@@ -441,6 +447,31 @@ class TestHashingExactness:
     def test_pairs_match_reference_on_bench_corpora(self, bench_corpora, workload, cfg):
         corpus = bench_corpora[workload]
         assert duplicate_pairs(corpus, cfg) == reference_duplicate_pairs(corpus, cfg)
+
+    @pytest.mark.parametrize("corpus_name", [*HASHING_CORPORA, "replicated-2k", "distinct-3k"])
+    def test_colliding_band_digests_keep_band_keys_exact(self, corpus_name, bench_corpora,
+                                                         monkeypatch):
+        """With every band digest equal, every band row of every text reaches
+        the exact grouping; pairs and clusters must still be the reference
+        banding loop's."""
+        if corpus_name in HASHING_CORPORA:
+            corpus, configs = HASHING_CORPORA[corpus_name](), HASHING_CONFIGS.values()
+            signature = oph_signature
+        else:
+            corpus, configs = bench_corpora[corpus_name], [OperatorConfig()]
+            signature = permutation_signature
+        calls = []
+
+        def colliding(signatures, mcfg):
+            calls.append(signatures.shape)
+            return np.zeros((len(signatures), mcfg.bands), dtype=np.uint64)
+
+        monkeypatch.setattr(operators, "_band_digests", colliding)
+        for cfg in configs:
+            expected = reference_duplicate_pairs(corpus, cfg, signature)
+            assert duplicate_pairs(corpus, cfg) == expected
+            assert minhash_dedup(corpus, cfg) == dedup_by_pairs(corpus, expected)
+        assert len(calls) == 2 * len(configs)
 
     def test_one_signature_per_distinct_text(self, cfg, monkeypatch):
         corpus = copies_corpus()
