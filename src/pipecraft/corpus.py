@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -59,6 +60,11 @@ class Sample:
             if value is not None and not isinstance(value, SCALAR_TYPES):
                 raise DatasetError(
                     f"sample {self.id!r}: meta value for {key!r} must be a scalar"
+                )
+            # json.loads yields NaN and Infinity, which strict JSON cannot write back
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DatasetError(
+                    f"sample {self.id!r}: meta value for {key!r} must be a finite number"
                 )
 
     @property
@@ -138,12 +144,13 @@ def _parse_record(line: str, line_number: int) -> Sample:
     unknown = set(record) - {FIELD_ID, FIELD_QUESTION, FIELD_ANSWER, FIELD_META}
     if unknown:
         raise DatasetError(f"line {line_number}: unknown fields {sorted(unknown)}")
+    meta = record.get(FIELD_META)  # missing or null: no meta
     try:
         sample = Sample(
             id=record.get(FIELD_ID, ""),
             question=record.get(FIELD_QUESTION, ""),
             answer=record.get(FIELD_ANSWER, ""),
-            meta=record.get(FIELD_META, {}) or {},
+            meta={} if meta is None else meta,
         )
     except DatasetError as exc:
         raise DatasetError(f"line {line_number}: {exc}") from exc

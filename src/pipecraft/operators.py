@@ -7,10 +7,14 @@ Selection are model-backed and run behind :class:`~pipecraft.clients.ModelClient
 they fail open (pass the sample through with a flag) so one bad call cannot
 abort a long search.
 
-Optimization and Generation share one routed pass: every screener-noisy
-sample goes through the team's per-sample operator, which sends at most one
-model request for it, carrying the whole QA pair, and every screener-clean
-sample passes through as the same object, without a model call.
+Optimization and Generation route each sample on its screener verdict: a
+noisy sample goes through the team's per-sample operator, which sends at most
+one model request for it, carrying the whole QA pair, and a clean sample
+passes through as the same object, without a model call. Optimization asks
+the screener about every sample. Generation asks only about the samples
+missing a field, and about complete samples until it has found
+``GENERATION_SHOT_COUNT`` clean ones for its shots: its operator returns a
+complete sample unchanged, so no other verdict can change its output.
 
 MinHash dedup signs the distinct shingle texts of a pass together, in numpy:
 a shingle is a window of code points, hashed by
@@ -448,33 +452,51 @@ class ExecutionContext:
         return sum(self.team_invocations.values())
 
 
-def _generation_shots(dataset: Dataset, noisy: list[bool]) -> list[Sample]:
-    """The first complete samples the screener calls clean, else the first
-    complete samples of the dataset."""
-    complete = [(s, is_noisy) for s, is_noisy in zip(dataset, noisy) if s.question and s.answer]
-    shots = [s for s, is_noisy in complete if not is_noisy] or [s for s, _ in complete]
-    return shots[:GENERATION_SHOT_COUNT]
+def _generation_shots(dataset: Dataset, screener: Screener) -> tuple[list[Sample], list[bool]]:
+    """The Generation shots, and per sample whether it is screener-noisy and
+    missing a field, from one walk in dataset order.
+
+    The shots are the first complete samples the screener calls clean, else
+    the first complete samples of the dataset. Every sample missing a field
+    is classified; a complete sample only until ``GENERATION_SHOT_COUNT``
+    clean ones are found, since either verdict passes it through unchanged.
+    """
+    clean: list[Sample] = []
+    complete: list[Sample] = []
+    fill: list[bool] = []
+    for sample in dataset:
+        if sample.question and sample.answer:
+            if len(complete) < GENERATION_SHOT_COUNT:
+                complete.append(sample)
+            if len(clean) < GENERATION_SHOT_COUNT and not screener.classify(sample).is_noisy:
+                clean.append(sample)
+            fill.append(False)
+        else:
+            fill.append(screener.classify(sample).is_noisy)
+    return clean or complete, fill
 
 
 def apply_team(team: Team, dataset: Dataset, ctx: ExecutionContext) -> Dataset:
     """Apply one team. Cleaning and Selection act on the whole dataset;
     Optimization and Generation route each screener-noisy sample through
-    their per-sample operator and pass each screener-clean sample through as
-    the same object."""
+    their per-sample operator and pass every other sample through as the
+    same object. Optimization classifies every sample; Generation only the
+    samples missing a field and the complete samples its shot scan reads."""
     ctx.count_invocation(team)
     if team is Team.CLEANING:
         return apply_cleaning(dataset, ctx.cfg)
     if team is Team.SELECTION:
         return select_high_quality(dataset, ctx.scorer, ctx.cfg.selection_keep_fraction, ctx.seed)
-    with ctx.timer.phase("screening"):
-        noisy = [ctx.screener.classify(sample).is_noisy for sample in dataset]
     if team is Team.OPTIMIZATION:
+        with ctx.timer.phase("screening"):
+            route = [ctx.screener.classify(sample).is_noisy for sample in dataset]
         process = partial(optimize_sample, client=ctx.optimizer, seed=ctx.seed)
     else:  # Team.GENERATION
-        shots = _generation_shots(dataset, noisy)
+        with ctx.timer.phase("screening"):
+            shots, route = _generation_shots(dataset, ctx.screener)
         process = partial(generate_missing, shots=shots, client=ctx.generator, seed=ctx.seed)
     return Dataset.from_samples(
-        process(sample) if is_noisy else sample for sample, is_noisy in zip(dataset, noisy)
+        process(sample) if routed else sample for sample, routed in zip(dataset, route)
     )
 
 

@@ -63,9 +63,11 @@ class Screener:
     """Caching screener front-end.
 
     Verdicts are cached per (question, answer), the only fields either
-    classifier reads, because the same text is screened by both the sampler
-    and every clean/noisy routing pass, often under several ids; with a remote
-    model behind the interface, re-screening would be the dominant cost.
+    classifier reads, because the same text is screened by the sampler, by
+    every Optimization pass and, if it is missing a field or read for the
+    few-shot examples, by every Generation pass, often under several ids;
+    with a remote model behind the interface, re-screening would be the
+    dominant cost.
 
     ``classify_calls`` counts the samples classified (cache misses), and
     ``remote_fallbacks`` those of them the heuristic decided because the

@@ -337,6 +337,47 @@ class TestLoneSurrogate:
         self.assert_one_line(capsys, "config error: ")
 
 
+BAD_META = {"zero": "0", "false": "false", "empty-string": '""', "empty-list": "[]",
+            "nan": '{"w": NaN}', "infinity": '{"w": Infinity}',
+            "minus-infinity": '{"w": -Infinity}', "overflow": '{"w": 1e999}'}
+
+
+class TestBadMeta:
+    """A first record whose ``meta`` is not an object, or holds a number that
+    is not finite, is a bad input: ``run`` exits 1, ``apply`` and ``sample``
+    exit 2, each with one line naming line 1; nothing is written back."""
+
+    @pytest.fixture(params=sorted(BAD_META))
+    def bad_corpus(self, request, tmp_path, corpus_path):
+        path = tmp_path / "meta.jsonl"
+        bad = '{"id": "bad", "question": "q", "answer": "a", "meta": %s}' % BAD_META[request.param]
+        path.write_text(bad + "\n" + corpus_path.read_text(encoding="utf-8"), encoding="utf-8")
+        return path
+
+    def assert_one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.startswith(prefix + "line 1: sample 'bad': meta ")
+        assert len(err.splitlines()) == 1
+
+    def test_run_exits_1(self, tmp_path, bad_corpus, capsys):
+        config = write_config(tmp_path, bad_corpus)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 1
+        self.assert_one_line(capsys, "run failed: ")
+        assert not (tmp_path / "run" / "final_dataset.jsonl").exists()
+
+    def test_apply_exits_2(self, tmp_path, bad_corpus, capsys):
+        assert main(["apply", "--strategy", "NONE", "--input", str(bad_corpus),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        self.assert_one_line(capsys, "config error: ")
+        assert not (tmp_path / "out.jsonl").exists()
+
+    def test_sample_exits_2(self, tmp_path, bad_corpus, capsys):
+        assert main(["sample", "--input", str(bad_corpus),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        self.assert_one_line(capsys, "config error: ")
+        assert not (tmp_path / "out.jsonl").exists()
+
+
 class TestInvalidUtf8:
     """Bytes that are not valid UTF-8 are a bad input, never a traceback: a
     dataset fails ``run`` with exit 1 and ``apply`` and ``sample`` with exit 2,

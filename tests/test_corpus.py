@@ -196,6 +196,58 @@ def test_sample_validation():
         Sample(id="x", question="q", meta={"k": [1, 2]})
 
 
+@pytest.mark.parametrize("meta", ["0", "false", '""', "[]", "1", '"x"', "[1]"])
+def test_meta_that_is_not_an_object_rejected(tmp_path, meta):
+    """Only a missing ``meta`` or ``null`` means no meta; a falsy non-object
+    is refused like a truthy one, not loaded as ``{}``."""
+    path = tmp_path / "meta.jsonl"
+    good = json.dumps({"id": "ok", "question": "q", "answer": "a"})
+    path.write_text(good + "\n" + '{"id": "x", "question": "q", "meta": %s}\n' % meta,
+                    encoding="utf-8")
+    with pytest.raises(DatasetError, match="line 2: sample 'x': meta must be a mapping"):
+        load_dataset(path)
+
+
+def test_missing_or_null_meta_is_empty(tmp_path):
+    path = tmp_path / "meta.jsonl"
+    path.write_text('{"id": "a"}\n{"id": "b", "meta": null}\n{"id": "c", "meta": {}}\n',
+                    encoding="utf-8")
+    assert [s.meta for s in load_dataset(path)] == [{}, {}, {}]
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
+def test_non_finite_meta_number_rejected(tmp_path, literal):
+    path = tmp_path / "meta.jsonl"
+    path.write_text('{"id": "x", "meta": {"ok": 1.5, "weight": %s}}\n' % literal,
+                    encoding="utf-8")
+    with pytest.raises(DatasetError, match="line 1: .*'weight' must be a finite number"):
+        load_dataset(path)
+
+
+def test_non_finite_meta_value_rejected_by_sample():
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DatasetError, match="'w' must be a finite number"):
+            Sample(id="x", meta={"w": value})
+    with pytest.raises(DatasetError, match="'w' must be a finite number"):
+        Sample(id="x").with_fields(meta_updates={"w": float("nan")})
+
+
+def test_saved_meta_is_strict_json(tmp_path):
+    """Every number a loaded sample's meta holds is written back as JSON that
+    a reader refusing NaN and Infinity parses."""
+    path = tmp_path / "meta.jsonl"
+    path.write_text('{"id": "x", "meta": {"big": 1e308, "small": -5e-324, "n": 7}}\n',
+                    encoding="utf-8")
+    save_dataset(load_dataset(path), tmp_path / "out.jsonl")
+
+    def refuse(name):
+        raise ValueError(name)
+
+    line = (tmp_path / "out.jsonl").read_text(encoding="utf-8")
+    assert json.loads(line, parse_constant=refuse)["meta"] == {"big": 1e308, "n": 7,
+                                                               "small": -5e-324}
+
+
 def test_unknown_field_rejected(tmp_path):
     path = tmp_path / "extra.jsonl"
     path.write_text(json.dumps({"id": "x", "bogus": 1}) + "\n", encoding="utf-8")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from pipecraft import operators, textstats
-from pipecraft.clients import HashingEmbedder
+from pipecraft.clients import HashingEmbedder, ModelClient, ScreenerClient
 from pipecraft.config import MinhashConfig, OperatorConfig
 from pipecraft.corpus import Dataset, Sample
 from pipecraft.operators import (
@@ -27,6 +27,7 @@ from pipecraft.operators import (
     select_high_quality,
     strip_noise,
 )
+from pipecraft.screener import REMOTE_FAILURE_LIMIT, Screener, ScreenerVerdict, heuristic_verdict
 from pipecraft.strategy import Strategy, Team
 from pipecraft.synthetic import messy_corpus
 from tests.conftest import (MASK64, clean_corpus, clean_sample, copies_corpus, make_words,
@@ -617,13 +618,14 @@ def trim_optimizer() -> ScriptedModelClient:
     return ScriptedModelClient("optimizer", trim)
 
 
-def template_generator() -> ScriptedModelClient:
-    def fn(req):
-        question = req["question"] or f"QUESTION({req['answer']})"
-        answer = req["answer"] or f"ANSWER({question})"
-        return {"question": question, "answer": answer, "status": "ok"}
+def template_reply(req: dict) -> dict:
+    question = req["question"] or f"QUESTION({req['answer']})"
+    answer = req["answer"] or f"ANSWER({question})"
+    return {"question": question, "answer": answer, "status": "ok"}
 
-    return ScriptedModelClient("generator", fn)
+
+def template_generator() -> ScriptedModelClient:
+    return ScriptedModelClient("generator", template_reply)
 
 
 def recording_trim_optimizer(requests: list[dict]) -> ScriptedModelClient:
@@ -976,6 +978,141 @@ class TestOneRequestPerSample:
                  if ctx.screener.classify(s).is_noisy and (s.question or s.answer)}
         assert ctx.optimizer.calls == len(pairs)
         assert out.fingerprint == self.FINGERPRINTS[seed]
+
+
+class TableScreenerClient(ScreenerClient):
+    """Remote screener reading each label from a table keyed by QA pair, or
+    failing every call when there is no table."""
+
+    def __init__(self, labels: dict[tuple[str, str], int] | None) -> None:
+        self.labels = labels
+        self.calls = 0
+
+    def classify(self, question: str, answer: str) -> int:
+        self.calls += 1
+        if self.labels is None:
+            raise RuntimeError("screener down")
+        return self.labels[(question, answer)]
+
+
+class RecordingScreener(Screener):
+    """Screener that lists every sample it is asked about, memo hits included."""
+
+    def __init__(self, client: ScreenerClient | None = None) -> None:
+        super().__init__(client=client)
+        self.asked: list[Sample] = []
+
+    def classify(self, sample: Sample) -> ScreenerVerdict:
+        self.asked.append(sample)
+        return super().classify(sample)
+
+
+def recording_generator(requests: list[dict]) -> ScriptedModelClient:
+    def fn(req):
+        requests.append(req)
+        return template_reply(req)
+
+    return ScriptedModelClient("generator", fn)
+
+
+def routing_corpus(seed: int, noisy_rate: float) -> tuple[Dataset, dict[tuple[str, str], int]]:
+    """Complete, question-only, answer-only and empty samples, with exact
+    copies, and a seeded clean/noisy label per distinct QA pair."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(rng.randint(1, 14)):
+        kind = rng.choices(("complete", "question", "answer", "empty"), (6, 2, 2, 1))[0]
+        question = make_words(rng, 4) if kind in ("complete", "question") else ""
+        answer = make_words(rng, 5) if kind in ("complete", "answer") else ""
+        pairs.append((question, answer))
+    labels = {pair: int(rng.random() < noisy_rate) for pair in pairs}
+    samples = [Sample(id=f"s{i}", question=q, answer=a)
+               for i, (q, a) in enumerate(rng.choice(pairs) for _ in range(rng.randint(0, 24)))]
+    return Dataset.from_samples(samples), labels
+
+
+def reference_generation(dataset: Dataset, labels: dict, generator: ModelClient) -> list[Sample]:
+    """Generation as every sample is classified: noisy samples through
+    ``generate_missing``, with the first three clean complete samples as
+    shots, else the first three complete ones."""
+    noisy = [labels[(s.question, s.answer)] for s in dataset]
+    complete = [(s, is_noisy) for s, is_noisy in zip(dataset, noisy) if s.question and s.answer]
+    shots = ([s for s, is_noisy in complete if not is_noisy] or [s for s, _ in complete])[:3]
+    return [generate_missing(s, shots, generator) if is_noisy else s
+            for s, is_noisy in zip(dataset, noisy)]
+
+
+def expected_asked(dataset: Dataset, labels: dict) -> list[Sample]:
+    """The samples missing a field, and the complete samples up to and
+    including the third clean one (all of them if there are fewer)."""
+    asked, clean = [], 0
+    for sample in dataset:
+        if not (sample.question and sample.answer):
+            asked.append(sample)
+        elif clean < 3:
+            asked.append(sample)
+            clean += not labels[(sample.question, sample.answer)]
+    return asked
+
+
+class TestGenerationRouting:
+    """A Generation pass asks the screener only about samples whose verdict
+    can change its output, and its output and generator requests equal
+    those of classifying every sample."""
+
+    @pytest.mark.parametrize("noisy_rate", [0.0, 0.3, 0.6, 0.9, 1.0])
+    def test_matches_classifying_every_sample(self, noisy_rate):
+        stopped_early = clean_incomplete = 0
+        for seed in range(40):
+            dataset, labels = routing_corpus(seed, noisy_rate)
+            expected_requests: list[dict] = []
+            expected = reference_generation(dataset, labels,
+                                            recording_generator(expected_requests))
+            requests: list[dict] = []
+            screener = RecordingScreener(TableScreenerClient(labels))
+            ctx = make_ctx(screener=screener, generator=recording_generator(requests))
+            out = apply_team(Team.GENERATION, dataset, ctx)
+
+            assert list(out) == expected, seed
+            assert [a is b for a, b in zip(out, dataset)] == \
+                [a is b for a, b in zip(expected, dataset)], seed
+            assert requests == expected_requests, seed
+            asked = expected_asked(dataset, labels)
+            assert [s.id for s in screener.asked] == [s.id for s in asked], seed
+            assert screener.client.calls == len({(s.question, s.answer) for s in asked}), seed
+            stopped_early += len(asked) < len(dataset)
+            clean_incomplete += any(not labels[(s.question, s.answer)]
+                                    for s in dataset if not (s.question and s.answer))
+        if noisy_rate < 1.0:
+            assert stopped_early and clean_incomplete
+
+    def test_failing_remote_screener_falls_back_to_heuristic(self):
+        dataset = Dataset.from_samples(
+            list(messy_test_corpus(3))
+            + [Sample(id="q-only", question="what is " + make_words(random.Random(1), 8)),
+               Sample(id="a-only", answer=make_words(random.Random(2), 12)),
+               Sample(id="empty")])
+        heuristic_requests: list[dict] = []
+        heuristic = RecordingScreener()
+        expected = apply_team(Team.GENERATION, dataset, make_ctx(
+            screener=heuristic, generator=recording_generator(heuristic_requests)))
+        requests: list[dict] = []
+        screener = RecordingScreener(TableScreenerClient(None))
+        out = apply_team(Team.GENERATION, dataset, make_ctx(
+            screener=screener, generator=recording_generator(requests)))
+
+        assert screener.client.calls == REMOTE_FAILURE_LIMIT
+        distinct = {(s.question, s.answer) for s in screener.asked}
+        assert screener.remote_fallbacks == screener.classify_calls == len(distinct)
+        labels = {(s.question, s.answer): heuristic_verdict(s, OperatorConfig()).label
+                  for s in dataset}
+        asked = expected_asked(dataset, labels)
+        assert len(asked) < len(dataset)  # the shot scan stops early
+        assert [s.id for s in screener.asked] == [s.id for s in heuristic.asked] == \
+            [s.id for s in asked]
+        assert out == expected
+        assert requests == heuristic_requests
+        assert len(requests) == 3
 
 
 class TestOrderAndDeterminism:
