@@ -83,8 +83,9 @@ class StrategyCache:
         self._saved = 0
         for meta in sorted((self.root / ENTRIES_DIR).glob(f"*/{META_FILE}")):
             try:
-                if meta.parent.is_symlink():  # its files may lie outside the root
-                    raise ValueError(f"entry directory {meta.parent.name} is a symlink")
+                # a symlink, to the entry directory or its metadata, may lead outside the root
+                if meta.parent.is_symlink() or meta.is_symlink():
+                    raise ValueError(f"entry {meta.parent.name} is reached through a symlink")
                 entry = from_json(CacheEntry, json.loads(meta.read_text(encoding="utf-8")), "meta")
                 entry_dir = self._entry_dir(entry.key, entry.base_fingerprint)
                 if meta.parent != entry_dir or entry.storage_path != self._storage_path(entry_dir):
@@ -149,8 +150,9 @@ class StrategyCache:
         caught. The dataset this instance stored is returned as held; any
         other is parsed from the bytes the check hashed."""
         path = self.root / entry.storage_path
-        try:
-            data = path.read_bytes()
+        try:  # a symlinked data file fails to open, so it may not lead outside the root
+            with open(path, "rb", opener=lambda p, flags: os.open(p, flags | os.O_NOFOLLOW)) as f:
+                data = f.read()
         except OSError as exc:
             raise CacheIntegrityError(f"cannot read cached dataset {entry.key!r}: {exc}") from exc
         if hashlib.sha256(data).hexdigest() != entry.result_fingerprint:

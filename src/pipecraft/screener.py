@@ -18,45 +18,28 @@ from .textstats import clean_text, text_profile, violations
 
 logger = logging.getLogger(__name__)
 
-LABEL_CLEAN = 0
-LABEL_NOISY = 1
-
-REASON_MISSING_QUESTION = "missing-question"
-REASON_MISSING_ANSWER = "missing-answer"
-REASON_MARKUP = "markup"
-REASON_REMOTE_FALLBACK = "remote-fallback"
-
 # consecutive remote failures after which a screener stops calling its client
 REMOTE_FAILURE_LIMIT = 3
 
 
 @dataclass(frozen=True)
 class ScreenerVerdict:
-    label: int
-    reasons: tuple[str, ...] = ()
-
-    @property
-    def is_noisy(self) -> bool:
-        return self.label == LABEL_NOISY
+    is_noisy: bool
 
 
 def heuristic_verdict(sample: Sample, cfg: OperatorConfig) -> ScreenerVerdict:
     """Noisy iff a field is missing, markup/noise is present, or any cleaning
     threshold is violated. Thresholds are measured on the noise-stripped text,
-    matching what the cleaning filters would see."""
-    reasons: list[str] = []
-    if not sample.question:
-        reasons.append(REASON_MISSING_QUESTION)
-    if not sample.answer:
-        reasons.append(REASON_MISSING_ANSWER)
-    clean_q = clean_text(sample.question)
-    clean_a = clean_text(sample.answer)
-    if clean_q != sample.question or clean_a != sample.answer:
-        reasons.append(REASON_MARKUP)
-    reasons += violations(text_profile(clean_q + "\n" + clean_a, cfg.ngram.n), cfg)
-    if reasons:
-        return ScreenerVerdict(LABEL_NOISY, tuple(reasons))
-    return ScreenerVerdict(LABEL_CLEAN)
+    matching what the cleaning filters would see; past the markup checks,
+    stripping changed neither field, so that is the sample's own text."""
+    question, answer = sample.question, sample.answer
+    return ScreenerVerdict(
+        not question
+        or not answer
+        or clean_text(question) != question
+        or clean_text(answer) != answer
+        or bool(violations(text_profile(question + "\n" + answer, cfg.ngram.n), cfg))
+    )
 
 
 class Screener:
@@ -115,10 +98,9 @@ class Screener:
                 self._remote_failures += 1
             else:
                 self._remote_failures = 0
-                return ScreenerVerdict(label)
+                return ScreenerVerdict(label == 1)
         self.remote_fallbacks += 1
-        fallback = heuristic_verdict(sample, self.cfg)
-        return ScreenerVerdict(fallback.label, fallback.reasons + (REASON_REMOTE_FALLBACK,))
+        return heuristic_verdict(sample, self.cfg)
 
     def partition(self, dataset: Dataset) -> tuple[Dataset, Dataset]:
         """Split into (clean, noisy), preserving order within each part."""

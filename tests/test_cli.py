@@ -924,6 +924,58 @@ class TestCacheErrors:
         assert not entry_dir.is_symlink() and (entry_dir / "meta.json").is_file()
         assert (tmp_path / "second" / "final_dataset.jsonl").read_bytes() == expected
 
+    @staticmethod
+    def symlink_outside(path, outside):
+        """Move ``path`` to ``outside`` and leave a symlink to it in its
+        place: the entry still reads the same bytes, from outside the root."""
+        outside.parent.mkdir(parents=True, exist_ok=True)
+        path.rename(outside)
+        path.symlink_to(outside)
+        return outside.read_bytes()
+
+    def test_symlinked_data_file_fails_verify(self, tmp_path, corpus_path, capsys):
+        root = tmp_path / "cache"
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        metas = sorted(root.glob("entries/*/meta.json"))
+        key = json.loads(metas[0].read_text(encoding="utf-8"))["key"]
+        self.symlink_outside(metas[0].parent / "data.jsonl", tmp_path / "outside" / "data.jsonl")
+        capsys.readouterr()
+        assert main(["cache", "verify", "--cache-dir", str(root)]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines() == [f"mismatch: {key}",
+                                    f"1 mismatch(es) in {len(metas)} entries"]
+
+    def test_run_evicts_a_symlinked_data_file(self, tmp_path, corpus_path, capsys, caplog):
+        root = tmp_path / "cache"
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "first")]) == 0
+        expected = (tmp_path / "first" / "final_dataset.jsonl").read_bytes()
+        data_files = sorted(root.glob("entries/*/data.jsonl"))
+        outside = [tmp_path / "outside" / f"{index}.jsonl" for index in range(len(data_files))]
+        kept = [self.symlink_outside(path, copy) for path, copy in zip(data_files, outside)]
+        with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "second")]) == 0
+        assert "evicting corrupt cache entry" in caplog.text
+        assert (tmp_path / "second" / "final_dataset.jsonl").read_bytes() == expected
+        assert any(path.is_file() and not path.is_symlink() for path in data_files)
+        assert [copy.read_bytes() for copy in outside] == kept
+
+    def test_symlinked_meta_is_skipped(self, tmp_path, corpus_path, capsys, caplog):
+        root = tmp_path / "cache"
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 0
+        capsys.readouterr()
+        assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
+        entries = json.loads(capsys.readouterr().out)["entries"]
+        meta = sorted(root.glob("entries/*/meta.json"))[0]
+        kept = self.symlink_outside(meta, tmp_path / "outside" / "meta.json")
+        with caplog.at_level(logging.WARNING, logger="pipecraft.cache"):
+            assert main(["cache", "stats", "--cache-dir", str(root)]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == entries - 1
+        assert "skipping unreadable cache entry" in caplog.text
+        assert (tmp_path / "outside" / "meta.json").read_bytes() == kept
+
     def test_prune_while_locked_exits_1(self, tmp_path, capsys):
         root = tmp_path / "cache"
         (root / "entries").mkdir(parents=True)

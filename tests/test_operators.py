@@ -1104,7 +1104,7 @@ class TestGenerationRouting:
         assert screener.client.calls == REMOTE_FAILURE_LIMIT
         distinct = {(s.question, s.answer) for s in screener.asked}
         assert screener.remote_fallbacks == screener.classify_calls == len(distinct)
-        labels = {(s.question, s.answer): heuristic_verdict(s, OperatorConfig()).label
+        labels = {(s.question, s.answer): int(heuristic_verdict(s, OperatorConfig()).is_noisy)
                   for s in dataset}
         asked = expected_asked(dataset, labels)
         assert len(asked) < len(dataset)  # the shot scan stops early

@@ -3,17 +3,15 @@ from __future__ import annotations
 import random
 import zlib
 
+import pytest
+
 from pipecraft.clients import ScreenerClient
+from pipecraft.config import NgramConfig, OperatorConfig
 from pipecraft.corpus import Dataset, Sample
-from pipecraft.operators import apply_cleaning, minhash_dedup
-from pipecraft.screener import (
-    REASON_MARKUP,
-    REASON_MISSING_ANSWER,
-    REASON_REMOTE_FALLBACK,
-    REMOTE_FAILURE_LIMIT,
-    Screener,
-)
-from pipecraft.textstats import REASON_NGRAM
+from pipecraft.operators import apply_cleaning, filter_violations, minhash_dedup, strip_noise
+from pipecraft.screener import REMOTE_FAILURE_LIMIT, Screener, ScreenerVerdict, heuristic_verdict
+from pipecraft.synthetic import messy_corpus
+from pipecraft.textstats import REASON_NGRAM, clean_text, text_profile, violations
 from tests.conftest import clean_corpus, clean_sample, make_words
 
 
@@ -22,31 +20,44 @@ def adequate_sample(sample_id: str = "ok") -> Sample:
     return clean_sample(sample_id, rng)
 
 
+def reference_noisy(sample: Sample, cfg: OperatorConfig) -> bool:
+    """The heuristic rule with every check evaluated and the thresholds
+    measured on the stripped text, as cleaning would see it."""
+    q, a = sample.question, sample.answer
+    clean_q, clean_a = clean_text(q), clean_text(a)
+    return bool(not q or not a or clean_q != q or clean_a != a
+                or violations(text_profile(clean_q + "\n" + clean_a, cfg.ngram.n), cfg))
+
+
 class TestClassify:
     def test_missing_answer_is_noisy(self):
-        verdict = Screener().classify(Sample(id="x", question="q", answer=""))
-        assert verdict.is_noisy
-        assert REASON_MISSING_ANSWER in verdict.reasons
+        sample = Sample(id="x", question="q", answer="")
+        assert Screener().classify(sample).is_noisy
+        assert reference_noisy(sample, OperatorConfig())
 
     def test_well_formed_is_clean(self):
-        verdict = Screener().classify(adequate_sample())
-        assert not verdict.is_noisy
-        assert verdict.reasons == ()
+        sample = adequate_sample()
+        assert Screener().classify(sample) == ScreenerVerdict(False)
+        assert not reference_noisy(sample, OperatorConfig())
 
     def test_ngram_repetition_09_is_noisy(self):
         # one word repeated 14 times: all ten 5-grams identical,
         # ratio = 1 - 1/10 = 0.9 > the 0.3 threshold
         sample = Sample(id="rep", question="lead in words here", answer="echo " * 14)
-        verdict = Screener().classify(sample)
-        assert verdict.is_noisy
-        assert REASON_NGRAM in verdict.reasons
+        cfg = OperatorConfig()
+        assert Screener(cfg).classify(sample).is_noisy
+        assert reference_noisy(sample, cfg)
+        # complete and free of markup once stripped, so the repetition decides
+        assert filter_violations(strip_noise(sample).combined_text, cfg) == [REASON_NGRAM]
 
     def test_markup_is_noisy(self):
         base = adequate_sample("mk")
         sample = base.with_fields(answer="<p>" + base.answer + "</p>")
-        verdict = Screener().classify(sample)
-        assert verdict.is_noisy
-        assert REASON_MARKUP in verdict.reasons
+        assert Screener().classify(sample).is_noisy
+        assert reference_noisy(sample, OperatorConfig())
+        # without the markup the same text is clean, so the markup decides
+        assert strip_noise(sample) == base
+        assert not Screener().classify(base).is_noisy
 
     def test_deterministic_across_calls(self):
         screener = Screener()
@@ -94,6 +105,52 @@ class TestPartition:
         assert len(clean) + len(noisy) == len(corpus)
         assert {s.id for s in clean}.isdisjoint({s.id for s in noisy})
         assert {s.id for s in clean} | {s.id for s in noisy} == {s.id for s in corpus}
+
+
+SPECIAL_BOUNDS = OperatorConfig(special_char_range=(0.25, 0.5), token_range=(0, 99))
+NGRAM_BOUND = OperatorConfig(token_range=(0, 99),
+                             ngram=NgramConfig(n=1, max_repetition_ratio=0.25))
+WORDS = "alpha bravo charlie delta echo"
+
+# (config, question, answer, noisy); a threshold is measured on
+# question + "\n" + answer, and each bound is inclusive
+HAND_CASES = [
+    # every CJK code point is a token: 23, then 7 against the floor of 10
+    (OperatorConfig(), "机器学习是什么", "机器学习让计算机从数据中发现模式", False),
+    (OperatorConfig(), "机器学习", "是什么", True),
+    (OperatorConfig(), WORDS, "foxtrot\x07 golf hotel india juliet", True),
+    (OperatorConfig(), "   ", WORDS + " foxtrot golf hotel india juliet", True),
+    (OperatorConfig(), WORDS, "\t", True),
+    (OperatorConfig(), "&lt;b&gt;alpha bravo&lt;/b&gt; charlie delta echo",
+     "foxtrot golf hotel india juliet", True),
+    (OperatorConfig(), WORDS, "", True),
+    (OperatorConfig(), "", WORDS, True),
+    (SPECIAL_BOUNDS, "a#", "b", False),  # ratio 0.25
+    (SPECIAL_BOUNDS, "a#", "bc", True),  # 0.2
+    (SPECIAL_BOUNDS, "##", "a", False),  # 0.5
+    (SPECIAL_BOUNDS, "###", "a", True),  # 0.6
+    (OperatorConfig(token_range=(2, 6)), "a", "b", False),
+    (OperatorConfig(token_range=(3, 6)), "a", "b", True),
+    (OperatorConfig(token_range=(2, 6)), "a b c", "d e f", False),
+    (OperatorConfig(token_range=(2, 6)), "a b c", "d e f g", True),
+    (NGRAM_BOUND, "a a", "b c", False),  # repetition 0.25
+    (NGRAM_BOUND, "a a", "b b", True),  # 0.5
+]
+
+
+class TestHeuristicMatchesReference:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_messy_corpus(self, seed, cfg):
+        corpus = messy_corpus(seed)
+        verdicts = [heuristic_verdict(sample, cfg).is_noisy for sample in corpus]
+        assert verdicts == [reference_noisy(sample, cfg) for sample in corpus]
+        assert 0 < sum(verdicts) < len(corpus)
+
+    @pytest.mark.parametrize("cfg, question, answer, noisy", HAND_CASES)
+    def test_hand_cases(self, cfg, question, answer, noisy):
+        sample = Sample(id="x", question=question, answer=answer)
+        assert heuristic_verdict(sample, cfg) == ScreenerVerdict(noisy)
+        assert reference_noisy(sample, cfg) is noisy
 
 
 def test_cleaning_drops_imply_noisy(cfg):
@@ -147,6 +204,8 @@ class _StubRemote(ScreenerClient):
 
 
 def distinct_samples(count: int) -> list[Sample]:
+    """Samples missing an answer: the heuristic calls each noisy, so a
+    noisy verdict from a stub remote answering 0 is a fallback's."""
     return [Sample(id=f"s{i}", question=f"question {i}", answer="") for i in range(count)]
 
 
@@ -159,24 +218,24 @@ class TestRemoteScreener:
         assert remote.calls == 1
 
     def test_failure_falls_back_to_heuristic_with_flag(self):
-        screener = Screener(client=_StubRemote(fail=True))
+        screener = Screener(client=_StubRemote(label=0, fail=True))
         verdict = screener.classify(Sample(id="x", question="q", answer=""))
-        assert verdict.is_noisy  # heuristic rules decided
-        assert REASON_REMOTE_FALLBACK in verdict.reasons
+        assert verdict.is_noisy  # heuristic rules decided, not the remote's 0
+        assert screener.remote_fallbacks == 1
 
     def test_failures_in_a_row_stop_the_remote_calls(self):
-        remote = _StubRemote(fail=True)
+        remote = _StubRemote(label=0, fail=True)
         screener = Screener(client=remote)
         verdicts = [screener.classify(sample) for sample in distinct_samples(7)]
         assert remote.calls == REMOTE_FAILURE_LIMIT == 3
         assert screener.classify_calls == screener.remote_fallbacks == 7
-        assert all(REASON_REMOTE_FALLBACK in verdict.reasons for verdict in verdicts)
+        assert all(verdict.is_noisy for verdict in verdicts)
 
     def test_a_success_resets_the_failure_count(self):
-        remote = _StubRemote(label=1, fail=[True, True, False] * 3)
+        remote = _StubRemote(label=0, fail=[True, True, False] * 3)
         screener = Screener(client=remote)
         verdicts = [screener.classify(sample) for sample in distinct_samples(9)]
         assert remote.calls == 9
         assert screener.remote_fallbacks == 6
-        assert [REASON_REMOTE_FALLBACK in verdict.reasons for verdict in verdicts] == remote.fail
-        assert [verdict.reasons for verdict in verdicts[2::3]] == [()] * 3  # the remote label
+        # the heuristic's noisy where the remote failed, its 0 where it answered
+        assert [verdict.is_noisy for verdict in verdicts] == remote.fail
