@@ -24,7 +24,7 @@ with tempfile.TemporaryDirectory() as root:
     ctx = ExecutionContext.with_defaults(cfg, cache=cache)
     for round_index, group in enumerate(schedule, start=1):
         for strategy in group:
-            cache.apply_with_reuse(strategy, corpus, ctx, producer_round=round_index)
+            cache.apply_with_reuse(strategy, corpus, ctx)
         print(f"after round {round_index}: {cache.stats()}")
 
     applied = ctx.total_invocations()

@@ -98,12 +98,6 @@ def compute_feedback(r_k: float, r_0: float) -> float:
     return r_k - r_0
 
 
-def format_score(score: float) -> str:
-    if score == float("-inf"):
-        return "-inf"
-    return f"{score:+.4f}"
-
-
 def _load_template(name: str) -> str:
     return (
         resources.files("pipecraft").joinpath("templates").joinpath(name).read_text("utf-8")
@@ -132,7 +126,7 @@ def format_round_feedback(history: list[Round] | tuple[Round, ...]) -> str:
         ):
             lines.append(f"{position}. ###Combination[{position}]###")
             lines.append(strategy.prompt_form())
-            lines.append(f"Feedback Score: {format_score(relative)}")
+            lines.append(f"Feedback Score: {relative:+.4f}")
             lines.append("")
         blocks.append("\n".join(lines))
     return "\n".join(blocks).rstrip()

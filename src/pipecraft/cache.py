@@ -8,10 +8,14 @@ equal a recompute: operators must be deterministic, hence the digest and
 seed in the key, and every hit, like ``cache verify``, admits an entry only
 if its data file's SHA-256 equals the fingerprint recorded when stored.
 
-Layout: one directory per entry, holding the dataset file and the entry's
-metadata file. The metadata is written last, by rename, so an entry exists
-exactly when its metadata file does; there is no separate index. A cache
-directory survives restarts and can be inspected or verified offline.
+Layout: one directory per entry, ``entries/<sha256(key|base=fingerprint)[:24]>``,
+holding the dataset file ``data.jsonl`` and the metadata file ``meta.json``
+(key, strategy, base and result fingerprints, creation time). The data file
+follows from the key and base fingerprint, so no path is stored; the scan
+drops the keys an older release also wrote (``LEGACY_META_KEYS``), so its
+entries still open. The metadata is written last, by rename, so an entry
+exists exactly when its metadata file does; there is no separate index. A
+cache directory survives restarts and can be inspected or verified offline.
 """
 from __future__ import annotations
 
@@ -35,6 +39,8 @@ ENTRIES_DIR = "entries"
 DATA_FILE = "data.jsonl"
 META_FILE = "meta.json"
 LOCK_FILE = ".lock"
+# meta.json keys an older release also wrote; the scan ignores them
+LEGACY_META_KEYS = ("storage_path", "producer_round")
 
 
 class CacheError(RuntimeError):
@@ -51,9 +57,14 @@ class CacheEntry:
     strategy: str
     base_fingerprint: str
     result_fingerprint: str
-    storage_path: str
     created_at: float
-    producer_round: int
+
+    @property
+    def storage_path(self) -> str:
+        """The entry's data file, relative to the root: always its own
+        directory's, so no entry can reach outside the root."""
+        name = f"{self.key}|base={self.base_fingerprint}".encode("utf-8")
+        return f"{ENTRIES_DIR}/{hashlib.sha256(name).hexdigest()[:24]}/{DATA_FILE}"
 
 
 class StrategyCache:
@@ -77,6 +88,8 @@ class StrategyCache:
             (self.root / ENTRIES_DIR).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise CacheError(f"cannot create cache root {self.root}: {exc}") from exc
+        if (self.root / ENTRIES_DIR).is_symlink():  # every entry would lie outside the root
+            raise CacheError(f"cache root {self.root} has a symlinked {ENTRIES_DIR} directory")
         self._entries: dict[tuple[str, str], CacheEntry] = {}
         self._held: dict[tuple[str, str], Dataset] = {}
         self._hits = 0
@@ -86,39 +99,31 @@ class StrategyCache:
                 # a symlink, to the entry directory or its metadata, may lead outside the root
                 if meta.parent.is_symlink() or meta.is_symlink():
                     raise ValueError(f"entry {meta.parent.name} is reached through a symlink")
-                entry = from_json(CacheEntry, json.loads(meta.read_text(encoding="utf-8")), "meta")
-                entry_dir = self._entry_dir(entry.key, entry.base_fingerprint)
-                if meta.parent != entry_dir or entry.storage_path != self._storage_path(entry_dir):
+                stored = json.loads(meta.read_text(encoding="utf-8"))
+                if isinstance(stored, dict):
+                    stored = {k: v for k, v in stored.items() if k not in LEGACY_META_KEYS}
+                entry = from_json(CacheEntry, stored, "meta")
+                if self.root / entry.storage_path != meta.parent / DATA_FILE:
                     raise ValueError(f"entry does not belong in {meta.parent.name}")
             except (OSError, ValueError) as exc:  # ConfigError is a ValueError
                 logger.warning("skipping unreadable cache entry %s: %s", meta, exc)
                 continue
             self._entries[(entry.key, entry.base_fingerprint)] = entry
 
-    # -- persistence -------------------------------------------------------
-
-    def _entry_dir(self, key: str, base_fingerprint: str) -> Path:
-        digest = hashlib.sha256(f"{key}|base={base_fingerprint}".encode("utf-8")).hexdigest()[:24]
-        return self.root / ENTRIES_DIR / digest
-
-    def _storage_path(self, entry_dir: Path) -> str:
-        """An entry's data file, relative to the root: only ever its own
-        directory's, so a tampered entry cannot reach outside the root."""
-        return str((entry_dir / DATA_FILE).relative_to(self.root))
-
     # -- core operations ----------------------------------------------------
 
-    def put(
-        self,
-        strategy: Strategy,
-        base_fingerprint: str,
-        result: Dataset,
-        producer_round: int = 0,
-    ) -> CacheEntry:
+    def put(self, strategy: Strategy, base_fingerprint: str, result: Dataset) -> CacheEntry:
         """Persist a processed dataset under a key not yet indexed, as
         ``apply_with_reuse`` does under the root's exclusive ``CacheLock``."""
         key = strategy_key(strategy, self.config_digest, self.seed)
-        entry_dir = self._entry_dir(key, base_fingerprint)
+        entry = CacheEntry(
+            key=key,
+            strategy=strategy.canonical(),
+            base_fingerprint=base_fingerprint,
+            result_fingerprint=result.fingerprint,
+            created_at=time.time(),
+        )
+        entry_dir = (self.root / entry.storage_path).parent
         if entry_dir.is_symlink():  # skipped when opened; never write through it
             entry_dir.unlink()
         entry_dir.mkdir(parents=True, exist_ok=True)
@@ -126,15 +131,6 @@ class StrategyCache:
         for stale in (entry_dir / DATA_FILE, meta_tmp):  # unlinks a symlink, not its target
             stale.unlink(missing_ok=True)
         save_dataset(result, entry_dir / DATA_FILE)
-        entry = CacheEntry(
-            key=key,
-            strategy=strategy.canonical(),
-            base_fingerprint=base_fingerprint,
-            result_fingerprint=result.fingerprint,
-            storage_path=self._storage_path(entry_dir),
-            created_at=time.time(),
-            producer_round=producer_round,
-        )
         meta_tmp.write_text(
             json.dumps(asdict(entry), sort_keys=True, indent=2) + "\n",
             encoding="utf-8",
@@ -192,13 +188,7 @@ class StrategyCache:
         except OSError:
             pass
 
-    def apply_with_reuse(
-        self,
-        f: Strategy,
-        base: Dataset,
-        ctx: ExecutionContext,
-        producer_round: int = 0,
-    ) -> Dataset:
+    def apply_with_reuse(self, f: Strategy, base: Dataset, ctx: ExecutionContext) -> Dataset:
         """Process ``base`` with ``f``, starting from the longest cached prefix
         and caching every newly produced intermediate prefix result.
 
@@ -224,7 +214,7 @@ class StrategyCache:
             break
         for k in range(done + 1, len(f) + 1):
             current = apply_team(f.teams[k - 1], current, ctx)
-            self.put(Strategy(f.teams[:k]), base_fp, current, producer_round)
+            self.put(Strategy(f.teams[:k]), base_fp, current)
         return current
 
     # -- reporting / administration -----------------------------------------
@@ -276,7 +266,8 @@ class CacheLock:
     def __enter__(self) -> "CacheLock":
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(self.path, os.O_CREAT | os.O_RDWR)
+            # a symlinked lock file fails to open, so it may not create a file outside the root
+            fd = os.open(self.path, os.O_CREAT | os.O_RDWR | os.O_NOFOLLOW, 0o666)
         except OSError as exc:
             raise CacheError(f"cannot open cache lock {self.path}: {exc}") from exc
         try:

@@ -29,7 +29,6 @@ from .sampling import EmbeddingError, stratified_sample
 from .screener import Screener
 from .strategy import StrategyParseError, enumerate_space, parse_strategy
 from .textstats import clear_run_memos
-from .timing import NULL_TIMER, PhaseTimer
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -42,7 +41,6 @@ def build_context(
     run_cfg: RunConfig,
     cache: StrategyCache | None = None,
     run_log: RunLog | None = None,
-    timer: PhaseTimer = NULL_TIMER,
 ) -> ExecutionContext:
     """Wire clients from configured endpoints; anything unset keeps the
     deterministic default of ``ExecutionContext.with_defaults``."""
@@ -57,8 +55,7 @@ def build_context(
         remote["trainer"] = HttpTrainerClient(endpoints.trainer)
     agent = HttpAgentClient(endpoints.agent) if endpoints.agent else HillClimbAgent()
     return ExecutionContext.with_defaults(
-        run_cfg.operators, seed=run_cfg.seed, timer=timer,
-        agent=agent, cache=cache, run_log=run_log, **remote,
+        run_cfg.operators, seed=run_cfg.seed, agent=agent, cache=cache, run_log=run_log, **remote
     )
 
 
@@ -102,7 +99,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     cache_root = Path(run_cfg.cache_root) if run_cfg.cache_root else run_dir / "cache"
 
     started = time.perf_counter()
-    timer = PhaseTimer()
     try:
         run_dir.mkdir(parents=True, exist_ok=True)
         (run_dir / "config.json").write_text(
@@ -113,9 +109,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         with CacheLock(cache_root):
             cache = StrategyCache(cache_root, run_cfg.operators.digest(), run_cfg.seed)
             run_log = RunLog(run_dir / "run_log.jsonl")
-            ctx = build_context(run_cfg, cache=cache, run_log=run_log, timer=timer)
+            ctx = build_context(run_cfg, cache=cache, run_log=run_log)
             result = run_search(base, run_cfg, ctx)
-            with timer.phase("processing"):
+            with ctx.timer.phase("processing"):
                 final = cache.apply_with_reuse(result.best_strategy, base, ctx)
             run_log.append(_model_requests(ctx))
             _warn_screener_fallbacks(ctx.screener)
@@ -129,7 +125,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             write_report(report, run_dir)
         timings = {
-            "phases": {name: round(value, 6) for name, value in timer.snapshot().items()},
+            "phases": {name: round(value, 6) for name, value in ctx.timer.snapshot().items()},
             "total": round(time.perf_counter() - started, 6),
         }
         (run_dir / "timings.json").write_text(
@@ -194,7 +190,8 @@ def cmd_sample(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     ctx = build_context(run_cfg)
     try:
-        sampled = stratified_sample(dataset, run_cfg.sampling_rate, ctx.screener, ctx.embedder)
+        sampled = stratified_sample(dataset, run_cfg.sampling_rate, ctx.screener, ctx.embedder,
+                                    ctx.timer)
         _warn_screener_fallbacks(ctx.screener)
         save_dataset(sampled, args.output)
     except (EmbeddingError, OSError) as exc:

@@ -116,7 +116,7 @@ def evaluate_strategy(
     hits_before = ctx.cache.stats()["hits"] if ctx.cache is not None else 0
     with ctx.timer.phase("processing"):
         if ctx.cache is not None:
-            processed = ctx.cache.apply_with_reuse(f, base, ctx, producer_round=round_index)
+            processed = ctx.cache.apply_with_reuse(f, base, ctx)
         else:
             processed = apply_strategy(f, base, ctx)
     key = processed.fingerprint

@@ -52,7 +52,7 @@ from .corpus import Dataset, Sample
 from .screener import Screener
 from .strategy import Strategy, Team
 from .textstats import clean_text, ngram_hashes, text_profile, violations
-from .timing import NULL_TIMER, PhaseTimer
+from .timing import PhaseTimer
 
 logger = logging.getLogger(__name__)
 
@@ -301,8 +301,8 @@ def passes_filters(text: str, cfg: OperatorConfig) -> bool:
 
 
 def apply_cleaning(dataset: Dataset, cfg: OperatorConfig) -> Dataset:
-    """Dedup, then strip noise, then drop threshold violators. Order-preserving
-    and idempotent."""
+    """Dedup, then strip noise, then drop threshold violators. Order-preserving,
+    and idempotent wherever ``clean_text`` is, within its pass bound."""
     deduped = minhash_dedup(dataset, cfg)
     stripped = [strip_noise(s) for s in deduped]
     kept = [s for s in stripped if passes_filters(s.combined_text, cfg)]
@@ -407,7 +407,8 @@ def select_high_quality(
 class ExecutionContext:
     """Everything a team application needs: thresholds, clients, the screener,
     and per-run counters. Evaluation-side handles (cache, run log, trainer)
-    ride along so one context drives a whole search."""
+    ride along so one context drives a whole search. Each context owns one
+    phase timer, and every phase run under it is charged there."""
 
     cfg: OperatorConfig
     screener: Screener
@@ -419,7 +420,7 @@ class ExecutionContext:
     trainer: TrainerClient | None = None
     cache: object | None = None
     run_log: object | None = None
-    timer: PhaseTimer = NULL_TIMER
+    timer: PhaseTimer = field(default_factory=PhaseTimer)
     seed: int = 0
     team_invocations: dict[Team, int] = field(default_factory=dict)
 
@@ -428,7 +429,6 @@ class ExecutionContext:
         cls,
         cfg: OperatorConfig | None = None,
         seed: int = 0,
-        timer: PhaseTimer = NULL_TIMER,
         **overrides,
     ) -> "ExecutionContext":
         cfg = cfg or OperatorConfig()
@@ -439,7 +439,6 @@ class ExecutionContext:
             generator=TemplateGenerator(),
             scorer=HeuristicScorer(cfg),
             embedder=HashingEmbedder(),
-            timer=timer,
             seed=seed,
         )
         kwargs.update(overrides)

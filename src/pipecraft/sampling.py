@@ -19,7 +19,7 @@ import numpy as np
 from .clients import EmbeddingClient
 from .corpus import Dataset
 from .screener import Screener
-from .timing import NULL_TIMER, PhaseTimer
+from .timing import PhaseTimer
 
 
 class EmbeddingError(RuntimeError):
@@ -118,13 +118,15 @@ def stratified_sample(
     rate: float,
     screener: Screener,
     embed_client: EmbeddingClient,
-    timer: PhaseTimer = NULL_TIMER,
+    timer: PhaseTimer | None = None,
 ) -> Dataset:
     """Greedy-select ``rate`` of each screener stratum independently and merge
     in original dataset order, so the sample mirrors the corpus's noisy
-    fraction to within rounding granularity."""
+    fraction to within rounding granularity. The ``screening`` phase is
+    timed inside ``sampling``, on ``timer`` or else on a fresh one."""
     if not 0.0 < rate <= 1.0:
         raise ValueError("rate must be in (0, 1]")
+    timer = timer or PhaseTimer()
     with timer.phase("sampling"):
         if rate == 1.0 or len(dataset) == 0:
             return dataset

@@ -97,8 +97,11 @@ def _is_clean(text: str) -> bool:
 @lru_cache(maxsize=PROFILE_MEMO_SIZE)
 def clean_text(text: str) -> str:
     """Remove markup tags, entity escapes, and control characters; collapse
-    whitespace runs. Iterates to a fixed point so the result is idempotent
-    even when unescaping exposes new markup."""
+    whitespace runs. Repeats the pass until the text stops changing, at most
+    ``_MAX_CLEAN_PASSES`` (8) times, so the result is a fixed point whenever
+    at most that many passes change the text. Each pass undoes one level of
+    escaping: markup escaped more than 8 times keeps escapes that cleaning
+    again removes."""
     if _is_clean(text):
         return text
     for _ in range(_MAX_CLEAN_PASSES):

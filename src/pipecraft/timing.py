@@ -3,6 +3,9 @@
 Phases may nest (the screener runs inside both sampling and processing);
 time is charged to the innermost active phase only, so the per-phase totals
 never sum to more than the elapsed wall clock.
+
+Each ``ExecutionContext`` owns one timer, so every phase of a run that
+shares the context is charged to the same totals.
 """
 from __future__ import annotations
 
@@ -34,14 +37,3 @@ class PhaseTimer:
 
     def snapshot(self) -> dict[str, float]:
         return dict(self.totals)
-
-
-class _NullTimer(PhaseTimer):
-    """Timer that measures nothing; default when no accounting is wanted."""
-
-    @contextmanager
-    def phase(self, name: str):
-        yield
-
-
-NULL_TIMER = _NullTimer()

@@ -449,7 +449,9 @@ class TestRunSearch:
 
 
 class TestRunSearchEvaluatorFailureMidRound:
-    def test_failed_strategy_reported_not_fatal(self, tmp_path):
+    @staticmethod
+    def flaky_search(tmp_path):
+        """A search whose evaluation of Cleaning fails; (result, agent, log)."""
         corpus = messy_test_corpus(9)
         base_fp = fingerprint_of(EMPTY_STRATEGY, corpus)
         clean_fp = fingerprint_of(Strategy((C,)), corpus)
@@ -469,12 +471,22 @@ class TestRunSearchEvaluatorFailureMidRound:
         agent = ScriptedAgent([group, NO_PROCESSING_MARKER])
         log = RunLog(tmp_path / "run_log.jsonl")
         ctx = make_search_ctx(tmp_path, agent, trainer=FlakyTrainer(), run_log=log)
-        result = run_search(corpus, trainer_run_cfg(max_rounds=2), ctx)
+        return run_search(corpus, trainer_run_cfg(max_rounds=2), ctx), agent, log
+
+    def test_failed_strategy_reported_not_fatal(self, tmp_path):
+        result, _, log = self.flaky_search(tmp_path)
         (first_round,) = result.rounds
         assert first_round.scores[0] == float("-inf")
         assert first_round.relative_scores[0] == float("-inf")
         assert first_round.scores[1] == 0.6
         assert any(r["event"] == "evaluation-error" for r in read_log(log))
+
+    def test_failed_strategy_fed_back_as_minus_inf(self, tmp_path):
+        _, agent, _ = self.flaky_search(tmp_path)
+        prompt = agent.messages[1][-1]["content"]
+        assert "Data Cleaning Team\nFeedback Score: -inf\n" in prompt
+        (feedback,) = HillClimbAgent._parse_feedback(prompt)
+        assert feedback == [(Strategy((C,)), float("-inf")), (Strategy((S,)), pytest.approx(0.1))]
 
 
 class TestSearchLoop:

@@ -60,6 +60,14 @@ class TestPutGet:
         stored = load_dataset(cache.root / entry.storage_path)
         assert lines(stored) == lines(corpus)
 
+    def test_meta_holds_exactly_five_keys(self, cache):
+        entry = cache.put(Strategy((C,)), "base-fp", clean_corpus(3, seed=0))
+        meta = (cache.root / entry.storage_path).with_name(META_FILE)
+        assert json.loads(meta.read_text(encoding="utf-8")) == {
+            "key": entry.key, "strategy": "Cleaning", "base_fingerprint": "base-fp",
+            "result_fingerprint": entry.result_fingerprint, "created_at": entry.created_at,
+        }
+
     def test_same_strategy_different_base_coexists(self, cache):
         cache.put(Strategy((C,)), "base-1", clean_corpus(4, seed=1))
         cache.put(Strategy((C,)), "base-2", clean_corpus(5, seed=2))
@@ -441,6 +449,31 @@ class TestTornEntry:
         assert lines(out) == lines(direct)
         assert (root / "index.jsonl").read_text(encoding="utf-8") == index
 
+    def test_root_left_by_seven_key_meta_format_opens(self, tmp_path):
+        """Each ``meta.json`` also carries the ``storage_path`` and
+        ``producer_round`` an earlier release stored: every entry is still
+        counted, verified, hit and pruned."""
+        root = tmp_path / "legacy"
+        digest = OperatorConfig().digest()
+        corpus = messy_test_corpus(5)
+        writer = StrategyCache(root, digest, seed=0)
+        writer.apply_with_reuse(Strategy((C, O, S)), corpus, make_ctx())
+        for entry in entries_of(writer):
+            meta = {**asdict(entry), "storage_path": entry.storage_path, "producer_round": 1}
+            (root / entry.storage_path).with_name(META_FILE).write_text(
+                json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        cache = StrategyCache(root, digest, seed=0)
+        assert entries_of(cache) == entries_of(writer)
+        assert cache.verify() == []
+        ctx = make_ctx()
+        out = cache.apply_with_reuse(Strategy((C, O, S, G)), corpus, ctx)
+        assert ctx.team_invocations == {G: 1}
+        assert cache.stats() == {"entries": 4, "hits": 1, "team_invocations_saved": 3}
+        direct = apply_strategy(Strategy((C, O, S, G)), corpus, make_ctx())
+        assert lines(out) == lines(direct)
+        assert cache.prune(max_entries=0) == 4
+        assert list((root / "entries").iterdir()) == []
+
 
 def count_loads(monkeypatch) -> list[Path]:
     """Record the file of every ``corpus.parse_dataset`` call made through the
@@ -594,6 +627,16 @@ def test_cache_lock_excludes_second_holder(tmp_path):
         pass
 
 
+def test_lock_file_is_not_executable(tmp_path):
+    """The lock file is created with mode 0o666 less the umask, as ``open``
+    creates a file, not 0o777."""
+    umask = os.umask(0)
+    os.umask(umask)
+    with CacheLock(tmp_path / "root"):
+        pass
+    assert (tmp_path / "root" / LOCK_FILE).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_runs_never_put_an_indexed_key(tmp_path, monkeypatch):
     """``put`` has no branch for a key the instance already indexes, because
     ``apply_with_reuse`` puts only prefixes longer than the longest indexed
@@ -603,10 +646,10 @@ def test_runs_never_put_an_indexed_key(tmp_path, monkeypatch):
     puts: list[tuple[str, str]] = []
     indexed: list[tuple[str, str]] = []
 
-    def checked(self, strategy, base_fingerprint, result, producer_round=0):
+    def checked(self, strategy, base_fingerprint, result):
         at = (strategy_key(strategy, self.config_digest, self.seed), base_fingerprint)
         (indexed if at in self._entries else puts).append(at)
-        return put(self, strategy, base_fingerprint, result, producer_round)
+        return put(self, strategy, base_fingerprint, result)
 
     monkeypatch.setattr(StrategyCache, "put", checked)
     corpus_path, root = tmp_path / "corpus.jsonl", tmp_path / "shared"

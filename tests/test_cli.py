@@ -872,7 +872,7 @@ class TestCacheErrors:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert sorted(root.rglob("*")) == before
 
-    def test_entry_naming_a_file_outside_the_root_is_skipped(self, tmp_path, corpus_path,
+    def test_entry_naming_a_file_outside_the_root_is_ignored(self, tmp_path, corpus_path,
                                                             capsys):
         root = tmp_path / "shared" / "cache"
         config = write_config(tmp_path, corpus_path, cache_root=str(root))
@@ -900,6 +900,52 @@ class TestCacheErrors:
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "second")]) == 0
         assert victim_intact()
         assert (tmp_path / "second" / "final_dataset.jsonl").read_bytes() == expected
+
+    @pytest.mark.parametrize("command", ["run", "apply", "prune"])
+    def test_symlinked_lock_is_refused(self, tmp_path, corpus_path, capsys, command):
+        """A ``.lock`` planted as a symlink, dangling into a directory outside
+        the root, is never opened, so the lock creates no file there."""
+        root, outside = tmp_path / "cache", tmp_path / "outside"
+        (root / "entries").mkdir(parents=True)
+        outside.mkdir()
+        (root / ".lock").symlink_to(outside / "victim_lock")
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        argv = {
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "run")],
+            "apply": ["apply", "--strategy", "Cleaning", "--input", str(corpus_path),
+                      "--output", str(tmp_path / "out.jsonl"), "--cache-dir", str(root)],
+            "prune": ["cache", "prune", "--cache-dir", str(root), "--max-entries", "5"],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "cannot open cache lock" in err and err.count("\n") == 1
+        assert list(outside.iterdir()) == []
+        assert (root / ".lock").is_symlink()
+        assert list(root.glob("entries/*")) == []
+
+    @pytest.mark.parametrize("command", ["run", "verify", "prune"])
+    def test_symlinked_entries_directory_is_refused(self, tmp_path, corpus_path, capsys,
+                                                    command):
+        """An ``entries`` directory planted as a symlink would put every entry
+        outside the root: the cache refuses to open, and the entries there
+        are neither read nor pruned."""
+        root = tmp_path / "cache"
+        config = write_config(tmp_path, corpus_path, cache_root=str(root))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "first")]) == 0
+        outside = tmp_path / "outside"
+        (root / "entries").rename(outside)
+        (root / "entries").symlink_to(outside, target_is_directory=True)
+        kept = sorted(outside.rglob("*"))
+        capsys.readouterr()
+        argv = {
+            "run": ["run", "--config", str(config), "--out", str(tmp_path / "second")],
+            "verify": ["cache", "verify", "--cache-dir", str(root)],
+            "prune": ["cache", "prune", "--cache-dir", str(root), "--max-entries", "0"],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "symlinked entries directory" in err and err.count("\n") == 1
+        assert sorted(outside.rglob("*")) == kept
 
     def test_symlinked_entry_directory_is_skipped_and_replaced(self, tmp_path, corpus_path,
                                                               capsys):

@@ -22,9 +22,6 @@ PACKAGE = ROOT / "src" / "pipecraft"
 # Kept although no program names them, each for the reason given.
 ALLOWED = {
     "HttpModelClient": "wire client for the remote operator models of ROADMAP item 4",
-    "producer_round": "written to each cache entry's meta.json for offline inspection; the "
-                      "loader reads meta keys strictly, so dropping it would make every "
-                      "existing entry unreadable",
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import html
 import json
 import random
 import re
@@ -63,6 +64,18 @@ class TestCleanText:
             text = "".join(rng.choice(fragments) for _ in range(rng.randint(0, 12)))
             once = clean_text(text)
             assert clean_text(once) == once
+
+    def test_idempotent_up_to_the_pass_bound(self):
+        """Each pass undoes one level of escaping: markup escaped as many
+        times as there are passes comes out clean, escaped once more it
+        keeps escapes that cleaning again removes."""
+        text = "<b>"
+        for _ in range(_MAX_CLEAN_PASSES):
+            text = html.escape(text, quote=False)
+        assert clean_text(f"x {text}y") == "x y"
+        once = clean_text(f"x {html.escape(text, quote=False)}y")
+        assert once == "x &lt;b&gt;y"
+        assert clean_text(once) == "x y"
 
 
 class TestSpecialCharRatio:
